@@ -45,21 +45,28 @@
 //! delta onto a **per-follower background channel** under the forward
 //! lock — the critical section is now seat-check + capture-drain +
 //! enqueue, microseconds instead of R−1 wire round-trips — and a
-//! dedicated sender thread per follower drains its channel and ships. In
-//! the default [`AckMode::Durable`] the mutation still blocks until every
-//! live follower's sender has applied its delta (today's synchronous
-//! semantics, item for item, so omission faults surface exactly as
-//! before). [`AckMode::Windowed`] acknowledges at *local commit +
-//! enqueue-under-quorum*: the sender accumulates a flush window
-//! ([`ClusterRouter::set_flush_window`]) and ships **one chained delta
-//! covering the whole window** — consecutive same-policy incrementals
-//! coalesce their [`ChangeSet`]s (parent = the first's parent, token =
-//! the last's token), consecutive snapshots keep only the newest — so a
-//! window of N mutations costs one wire transfer and one follower apply.
-//! The chain-token rule is unchanged: a gap (e.g. a dropped batch)
-//! surfaces as an out-of-sequence rejection at the next delivery and is
-//! healed by the same snapshot resync. **Fencing:** every seat change
-//! drains all channels under the forward lock before the election, so an
+//! dedicated sender thread per follower pops *everything* queued, pays
+//! the wire once, then **stages** each delta of that window on the
+//! follower in queue order (digest check, chain check, tree apply, cursor
+//! advance, into the follower's group-commit window) and only afterwards
+//! **redeems** the commit tickets: the first leads one `sync` for the
+//! whole window, the rest read its verdict. A follower's applied token
+//! advances and a waiting mutation is released only behind that verdict,
+//! so an ack means *durable on this follower*; a failed verdict demotes
+//! the follower and fails every delta of the window. In the default
+//! [`AckMode::Durable`] the mutation blocks until every live follower has
+//! delivered that verdict for its delta (deltas stay one per mutation, so
+//! omission faults surface exactly as before). [`AckMode::Windowed`]
+//! acknowledges at *local commit + enqueue-under-quorum*: the sender
+//! accumulates a flush window ([`ClusterRouter::set_flush_window`]) and
+//! additionally ships **one chained delta per policy for the window** —
+//! consecutive same-policy incrementals coalesce their [`ChangeSet`]s
+//! (parent = the first's parent, token = the last's token), consecutive
+//! snapshots keep only the newest. The chain-token rule is unchanged: a
+//! gap (e.g. a dropped batch) surfaces as an out-of-sequence rejection at
+//! the next delivery and is healed in place by a snapshot resync staged
+//! into the same window. **Fencing:** every seat change drains all
+//! channels under the forward lock before the election, so an
 //! enqueue-acked write always reaches the electorate and a deposed
 //! primary's queued batches can never clobber its successor; an operator
 //! can force the same flush with [`ClusterRouter::flush_replication`].
@@ -165,7 +172,7 @@ use palaemon_core::tms::{
     SessionId,
 };
 use palaemon_core::PalaemonError;
-use palaemon_db::ChangeSet;
+use palaemon_db::{ChangeSet, CommitTicket};
 use palaemon_telemetry::{trace, Collect, EventKind, FlightRecorder, MetricSink, Stage, Telemetry};
 use parking_lot::{Mutex, RwLock};
 
@@ -288,10 +295,11 @@ pub enum ReplicationMode {
 /// When a replicated mutation acknowledges to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AckMode {
-    /// Block until every live follower's sender has applied the delta —
-    /// the synchronous semantics every caller had before pipelining.
-    /// Deltas ship item for item (no window coalescing), so omission
-    /// faults surface with exactly the pre-pipeline telemetry.
+    /// Block until the delta is **durable** on every live follower — the
+    /// synchronous semantics every caller had before pipelining. Deltas
+    /// are never coalesced (omission faults surface per delta), but a
+    /// popped window is staged whole on the follower and synced once:
+    /// each delta's ack is that one sync's verdict, not a sync of its own.
     #[default]
     Durable,
     /// Acknowledge at local commit + enqueue-under-quorum: the write is
@@ -404,10 +412,14 @@ pub struct ReplicationStats {
     /// Out-of-sequence deltas a follower refused (lost/reordered/replayed
     /// forwards surfacing at the chain check).
     pub sequence_rejections: u64,
-    /// Batches the background senders shipped (one wire transfer each).
+    /// Deltas the background senders shipped, after window coalescing —
+    /// *not* wire transfers: one transfer carries a whole popped window,
+    /// so transfers are `flushes_window_full + flushes_timer +
+    /// flushes_fence + flushes_durable`.
     pub batches_shipped: u64,
-    /// Mutations those batches covered (≥ `batches_shipped`; the ratio is
-    /// the windowing win).
+    /// Mutations those deltas covered (≥ `batches_shipped`; the ratio is
+    /// the coalescing win, and over the flush sum above it is mutations
+    /// per wire transfer — and per follower sync).
     pub mutations_shipped: u64,
     /// Mutations-per-batch histogram: buckets of 1, 2–4, 5–16, 17–64 and
     /// >64 mutations coalesced into one shipped delta.
@@ -1042,9 +1054,9 @@ struct PipeQueue {
 
 /// One follower's background forward channel plus its wakeup machinery.
 /// Lock order: `delivery` strictly before `queue`. `delivery` is held
-/// across pop + ship (by the sender or a fence drain), which makes
-/// "queue empty" observed under both locks mean "everything enqueued so
-/// far has been applied".
+/// across pop + stage + redeem (by the sender or a fence drain), which
+/// makes "queue empty" observed under both locks mean "everything
+/// enqueued so far has been applied and synced".
 struct Pipe {
     queue: StdMutex<PipeQueue>,
     ready: Condvar,
@@ -1163,22 +1175,23 @@ impl Shipment {
     }
 }
 
-/// Rebuilds the [`ChangeSet`] an incremental delta was built from (the
-/// coalescing primitive; puts/tombstones are disjoint by construction).
-fn changeset_of(delta: PolicyDelta) -> ChangeSet {
-    let mut changes = ChangeSet::default();
+/// Splits a delta for coalescing: an incremental yields the [`ChangeSet`]
+/// it was built from (puts/tombstones are disjoint by construction), a
+/// snapshot comes back whole.
+fn changeset_of(delta: PolicyDelta) -> std::result::Result<ChangeSet, PolicyDelta> {
     match delta.payload {
         DeltaPayload::Incremental { puts, tombstones } => {
+            let mut changes = ChangeSet::default();
             for (key, value) in puts {
                 changes.record_put(key, value);
             }
             for key in tombstones {
                 changes.record_delete(key);
             }
+            Ok(changes)
         }
-        DeltaPayload::Snapshot { .. } => unreachable!("only incrementals coalesce"),
+        DeltaPayload::Snapshot { .. } => Err(delta),
     }
-    changes
 }
 
 /// Coalesces one popped window into the shipments that go on the wire.
@@ -1191,42 +1204,41 @@ fn coalesce(items: Vec<QueuedForward>) -> Vec<Shipment> {
     let mut open: HashMap<String, usize> = HashMap::new();
     for item in items {
         let policy = item.delta.policy.clone();
+        let (parent, tail) = (item.delta.parent, item.delta.token);
         let mergeable = !item.stale && item.completion.is_none();
-        if mergeable {
-            if let Some(&idx) = open.get(&policy) {
-                let incoming_incremental = item.delta.is_incremental();
-                let compatible = match &out[idx].body {
-                    ShipBody::Merged { .. } => incoming_incremental,
-                    ShipBody::Verbatim(prev) => !prev.is_incremental() && !incoming_incremental,
-                };
-                if compatible {
-                    match &mut out[idx].body {
-                        ShipBody::Merged { changes, token, .. } => {
-                            *token = item.delta.token;
-                            changes.merge(changeset_of(item.delta));
-                        }
-                        ShipBody::Verbatim(prev) => {
-                            *prev = item.delta; // later snapshot supersedes
-                        }
-                    }
-                    out[idx].mutations += 1;
+        // `Err`: ships verbatim (a snapshot, or a durable-ack/stale item).
+        let mut part = if mergeable {
+            changeset_of(item.delta)
+        } else {
+            Err(item.delta)
+        };
+        if let Some(&idx) = open.get(&policy).filter(|_| mergeable) {
+            let run = &mut out[idx];
+            part = match (part, &mut run.body) {
+                (Ok(more), ShipBody::Merged { changes, token, .. }) => {
+                    *token = tail;
+                    changes.merge(more);
+                    run.mutations += 1;
                     continue;
                 }
-            }
+                (Err(snapshot), ShipBody::Verbatim(prev)) if !prev.is_incremental() => {
+                    *prev = snapshot; // later snapshot supersedes
+                    run.mutations += 1;
+                    continue;
+                }
+                (part, _) => part,
+            };
         }
-        let idx = out.len();
-        let body = if mergeable && item.delta.is_incremental() {
-            let parent = item.delta.parent;
-            let token = item.delta.token;
-            ShipBody::Merged {
+        let body = match part {
+            Ok(changes) => ShipBody::Merged {
                 policy: policy.clone(),
-                changes: changeset_of(item.delta),
+                changes,
                 parent,
-                token,
-            }
-        } else {
-            ShipBody::Verbatim(item.delta)
+                token: tail,
+            },
+            Err(delta) => ShipBody::Verbatim(delta),
         };
+        let idx = out.len();
         out.push(Shipment {
             body,
             mutations: 1,
@@ -1290,13 +1302,18 @@ impl GroupCore {
         Arc::clone(roster[idx].engine())
     }
 
-    /// Ships one delta to follower `k`, healing a broken chain with an
-    /// on-the-spot snapshot resync from the current primary seat. Returns
-    /// true when the follower ended up holding the write; on any
-    /// unhealable failure the follower is demoted.
-    fn ship(&self, follower: &Replica, k: usize, delta: &PolicyDelta) -> bool {
+    /// Stages one delta on follower `k` (applied and in its commit window,
+    /// not yet synced), healing a broken chain with an on-the-spot snapshot
+    /// resync — staged too — from the current primary seat. The follower
+    /// holds the write once the returned ticket redeems.
+    fn stage(
+        &self,
+        follower: &Replica,
+        k: usize,
+        delta: &PolicyDelta,
+    ) -> palaemon_core::Result<CommitTicket> {
         self.telemetry.count_delta(delta);
-        let outcome = match follower.engine().apply_policy_delta(delta) {
+        match follower.engine().stage_policy_delta(delta) {
             Err(PalaemonError::DeltaOutOfSequence { .. }) => {
                 // The follower's chain for this policy does not match —
                 // it is fresh, or a forward to it was lost or reordered.
@@ -1325,54 +1342,47 @@ impl GroupCore {
                     policy: delta.policy.clone(),
                     token: delta.token,
                 });
-                follower.engine().apply_policy_delta(&resync)
+                follower.engine().stage_policy_delta(&resync)
             }
             other => other,
-        };
-        match outcome {
-            Ok(()) => {
-                follower.applied.fetch_max(delta.token, Ordering::AcqRel);
-                true
-            }
-            Err(e) => {
-                follower.demote(format!(
-                    "demoted: applying delta for policy '{}' failed: {e}",
-                    delta.policy
-                ));
-                false
-            }
         }
     }
 
-    /// Ships a stale (reordered) delta via the legacy out-of-order path:
+    /// Stages a stale (reordered) delta via the legacy out-of-order path:
     /// cross-policy it is merely late and applies; same-policy the chain
-    /// check rejects it — counted, but no resync and no demotion, because
-    /// its successor already carried the state.
-    fn ship_stale(&self, follower: &Replica, k: usize, delta: &PolicyDelta) -> bool {
+    /// check rejects it — counted, but no resync and no demotion (`None`:
+    /// nothing to redeem), because its successor already carried the state.
+    fn stage_stale(
+        &self,
+        follower: &Replica,
+        k: usize,
+        delta: &PolicyDelta,
+    ) -> Option<CommitTicket> {
         self.telemetry.count_delta(delta);
-        match follower.engine().apply_policy_delta(delta) {
-            Ok(()) => {
-                follower.applied.fetch_max(delta.token, Ordering::AcqRel);
-            }
-            Err(_) => {
-                self.telemetry
-                    .sequence_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                self.flight.record(EventKind::GapRejection {
-                    shard: self.shard,
-                    replica: k,
-                    policy: delta.policy.clone(),
-                    token: delta.token,
-                    parent: delta.parent,
-                });
-            }
+        let staged = follower.engine().stage_policy_delta(delta);
+        if staged.is_err() {
+            self.telemetry
+                .sequence_rejections
+                .fetch_add(1, Ordering::Relaxed);
+            self.flight.record(EventKind::GapRejection {
+                shard: self.shard,
+                replica: k,
+                policy: delta.policy.clone(),
+                token: delta.token,
+                parent: delta.parent,
+            });
         }
-        true
+        staged.ok()
     }
 
     /// Delivers one popped window to follower `k`: accounts the flush,
     /// coalesces, pays the modelled wire latency once for the whole
-    /// batch, and ships. `dropped` consumes the transfer on the wire
+    /// batch, **stages** every shipment in queue order and only then
+    /// **redeems** the tickets — the first leads one sync covering the
+    /// window, the rest find it flushed. `applied` and the completions
+    /// move behind each ticket's verdict, so an ack still means "durable
+    /// on this follower"; a failed stage or verdict demotes it and
+    /// resolves `false`. `dropped` consumes the transfer on the wire
     /// ([`FaultKind::DropBatch`]): nothing arrives, nobody is demoted,
     /// and the resulting chain gap must surface at the next delivery.
     /// Returns the mutations actually delivered (0 for a dropped batch).
@@ -1405,15 +1415,35 @@ impl GroupCore {
             std::thread::sleep(latency);
         }
         let mut delivered = 0u64;
+        let mut staged = Vec::with_capacity(shipments.len());
         for shipment in shipments {
             let (delta, mutations, stale, completions) = shipment.build();
-            let ok = if stale {
-                self.ship_stale(follower, k, &delta)
+            let ticket = if stale {
+                Ok(self.stage_stale(follower, k, &delta))
             } else {
-                self.ship(follower, k, &delta)
+                self.stage(follower, k, &delta).map(Some)
             };
             self.telemetry.count_batch(mutations);
             delivered += mutations;
+            staged.push((delta.policy, delta.token, ticket, completions));
+        }
+        // `Ok(None)` is a refused stale delta: nothing staged, nothing to
+        // advance, and — as ever — no demotion.
+        for (policy, token, ticket, completions) in staged {
+            let ok = match ticket.and_then(|t| Ok(t.map(CommitTicket::wait).transpose()?)) {
+                Ok(durable) => {
+                    if durable.is_some() {
+                        follower.applied.fetch_max(token, Ordering::AcqRel);
+                    }
+                    true
+                }
+                Err(e) => {
+                    follower.demote(format!(
+                        "demoted: applying delta for policy '{policy}' failed: {e}"
+                    ));
+                    false
+                }
+            };
             for c in completions {
                 c.resolve(ok);
             }
@@ -1749,17 +1779,13 @@ impl ReplicaSet {
         self.drain_pipes(true);
         let pidx = self.primary_idx();
         let primary = &self.replicas[pidx];
-        primary.engine().purge_policy_records(policy)?;
-        primary.engine().import_records(records)?;
+        let install = |r: &Replica| r.engine().stage_policy_records(policy, records).wait();
+        install(primary).map_err(PalaemonError::from)?;
         for (k, follower) in self.replicas.iter().enumerate() {
             if k == pidx || !follower.is_in_quorum() {
                 continue;
             }
-            let copied = follower
-                .engine()
-                .purge_policy_records(policy)
-                .and_then(|()| follower.engine().import_records(records));
-            if let Err(e) = copied {
+            if let Err(e) = install(follower) {
                 follower.demote(format!("demoted: installing policy '{policy}' failed: {e}"));
             }
         }
@@ -1988,9 +2014,12 @@ fn catch_up(group: &ReplicaSet, target: &Replica) -> palaemon_core::Result<()> {
     // cursor at the group tail is one policy we need not re-ship.
     dst.clear_captured_changes();
     let live: HashSet<&str> = policies.iter().map(|(n, _)| n.as_str()).collect();
+    // Every purge and re-base below stages into the target's commit window;
+    // the tickets redeem together, so the whole resync pays one sync.
+    let mut tickets = Vec::new();
     for stale in dst.policy_names() {
         if !live.contains(stale.as_str()) {
-            dst.purge_policy_records(&stale)?;
+            tickets.push(dst.stage_policy_records(&stale, &[]));
         }
     }
     let (mut shipped, mut skipped, mut bytes) = (0u64, 0u64, 0u64);
@@ -2027,7 +2056,7 @@ fn catch_up(group: &ReplicaSet, target: &Replica) -> palaemon_core::Result<()> {
                     dst.clear_policy_cursor(&name);
                     let delta = PolicyDelta::snapshot(&name, records, token);
                     bytes += delta.wire_size() as u64;
-                    dst.apply_policy_delta(&delta)?;
+                    tickets.push(dst.stage_policy_delta(&delta)?);
                     shipped += 1;
                 }
                 // No chain entry (the policy was migrated in, or predates
@@ -2043,16 +2072,18 @@ fn catch_up(group: &ReplicaSet, target: &Replica) -> palaemon_core::Result<()> {
                         continue;
                     }
                     dst.clear_policy_cursor(&name);
-                    dst.purge_policy_records(&name)?;
                     bytes += records
                         .iter()
                         .map(|(k, v)| (k.len() + v.len()) as u64)
                         .sum::<u64>();
-                    dst.import_records(&records)?;
+                    tickets.push(dst.stage_policy_records(&name, &records));
                     shipped += 1;
                 }
             }
         }
+    }
+    for ticket in tickets {
+        ticket.wait()?;
     }
     let keep: HashSet<u64> = sessions.iter().map(|s| s.session.0).collect();
     for stale in dst.export_sessions() {
@@ -2195,10 +2226,10 @@ fn repair_policy(
             // cursor, since a minted cursor would disagree with the
             // absent tail forever.
             let records = primary.engine().export_policy_records(policy);
-            follower.engine().purge_policy_records(policy)?;
-            if !records.is_empty() {
-                follower.engine().import_records(&records)?;
-            }
+            follower
+                .engine()
+                .stage_policy_records(policy, &records)
+                .wait()?;
             group
                 .telemetry
                 .snapshot_resyncs
@@ -2614,72 +2645,74 @@ impl ClusterRouter {
         }
         let is_close = matches!(request, TmsRequest::CloseSession { .. });
         let approval = approval_nonce(&request);
-        let mut carry = Some(request);
+        let request = match local {
+            Some(l) => localize_session(request, l),
+            None => request,
+        };
+        // An approval nonce is single-use and was mirrored group-wide when
+        // issued: if the primary no longer holds it after a dispatch
+        // (consumed by success, or burned by the board's reject/mismatch
+        // paths), the peers must burn their copies too or a failover
+        // would resurrect a spent nonce.
+        let burn_spent_nonce = |pidx: usize| {
+            if let Some(nonce) = approval.filter(|_| group.replicas.len() > 1) {
+                if group.replicas[pidx]
+                    .engine()
+                    .export_approval(nonce)
+                    .is_none()
+                {
+                    group.mirror_discard(pidx, nonce);
+                }
+            }
+        };
         loop {
             let pidx = group.primary_idx();
             let primary = &group.replicas[pidx];
             if primary.is_quarantined() {
                 return Err(ClusterError::ShardUnavailable(id));
             }
-            // Resolve the policy a replicated mutation covers *before*
-            // applying it: the request's own key, or — for session-keyed
-            // tag pushes — the policy the session is attested under. Once
-            // the engine applies the write it must be forwarded, and a
-            // concurrent `CloseSession` could make the session
-            // unresolvable afterwards.
-            let mutation_policy = if mutation && group.replicas.len() > 1 {
-                match policy {
-                    Some(p) => Some(p.to_string()),
-                    None => local.and_then(|l| primary.engine().policy_of_session(l)),
-                }
-            } else {
-                None
-            };
-            let req = match local {
-                Some(l) => localize_session(carry.take().expect("request present"), l),
-                None => carry.take().expect("request present"),
-            };
-            // Only reads can come back around the loop (failover retry),
-            // so only they pay the clone — mutations are dispatched
-            // zero-copy.
-            if !mutation {
-                carry = Some(req.clone());
-            }
-            let response = primary.server.handle(req);
-            // An approval nonce is single-use and was mirrored group-wide
-            // when issued: if the primary no longer holds it after this
-            // dispatch (consumed by success, or burned by the board's
-            // reject/mismatch paths), the peers must burn their copies
-            // too or a failover would resurrect a spent nonce.
-            if let Some(nonce) = approval {
-                if group.replicas.len() > 1 && primary.engine().export_approval(nonce).is_none() {
-                    group.mirror_discard(pidx, nonce);
-                }
-            }
-            let response = response.map_err(ClusterError::Engine)?;
-            if mutation {
+            // A mutation never comes back around the loop, so it is
+            // dispatched zero-copy: the request moves into the engine.
+            if mutation && group.replicas.len() == 1 {
                 // Single-replica groups have nobody to forward to: skip
                 // the whole replication machinery (delta export, digest,
                 // forward-lock serialization) and keep PR 3's engine-level
                 // concurrency for unreplicated shards.
-                if group.replicas.len() > 1 {
-                    match &mutation_policy {
-                        Some(policy) => self.replicate(id, group, pidx, policy)?,
-                        None => {
-                            // The session vanished between resolution and
-                            // apply yet the engine accepted the write: it
-                            // reached only the primary and must NOT be
-                            // acknowledged as replicated.
-                            return Err(ClusterError::QuorumLost {
-                                shard: id,
-                                acked: 1,
-                                needed: group.write_quorum,
-                            });
-                        }
-                    }
-                }
+                return primary.server.handle(request).map_err(ClusterError::Engine);
+            }
+            if mutation {
+                // Resolve the policy the mutation covers *before* applying
+                // it: the request's own key, or — for session-keyed tag
+                // pushes — the policy the session is attested under. Once
+                // the engine applies the write it must be forwarded, and a
+                // concurrent `CloseSession` could make the session
+                // unresolvable afterwards.
+                let mutation_policy = match policy {
+                    Some(p) => Some(p.to_string()),
+                    None => local.and_then(|l| primary.engine().policy_of_session(l)),
+                };
+                let response = primary.server.handle(request);
+                burn_spent_nonce(pidx);
+                let response = response.map_err(ClusterError::Engine)?;
+                let Some(policy) = mutation_policy else {
+                    // The session vanished between resolution and apply
+                    // yet the engine accepted the write: it reached only
+                    // the primary and must NOT be acknowledged as
+                    // replicated.
+                    return Err(ClusterError::QuorumLost {
+                        shard: id,
+                        acked: 1,
+                        needed: group.write_quorum,
+                    });
+                };
+                self.replicate(id, group, pidx, &policy)?;
                 return Ok(response);
             }
+            // Only non-mutations can come back around the loop (failover
+            // retry), so only they pay the clone.
+            let response = primary.server.handle(request.clone());
+            burn_spent_nonce(pidx);
+            let response = response.map_err(ClusterError::Engine)?;
             // Session-table changes are mirrored so sessions survive a
             // failover of the replica that attested them.
             if is_attest {
@@ -4021,7 +4054,7 @@ mod tests {
     use palaemon_crypto::Digest;
     use palaemon_db::Db;
     use shielded_fs::fs::TagEvent;
-    use shielded_fs::store::MemStore;
+    use shielded_fs::store::{BlockStore, BufferedStore, MemStore};
     use tee_sim::platform::{Microcode, Platform};
     use tee_sim::quote::{create_report, quote_report};
 
@@ -5240,5 +5273,332 @@ mod tests {
             votes: vec![alice.vote(&approval, true)],
         });
         assert!(replay.is_err(), "spent nonce must not be replayable");
+    }
+
+    // ------------------------------------------------------------------
+    // Follower group-apply: one sync and one verdict per shipped window
+    // ------------------------------------------------------------------
+
+    /// A follower's device: write-back (a power cut loses whatever `sync`
+    /// has not flushed) and counting its syncs. `disk` only ever holds
+    /// flushed blobs, so reopening it *is* the crash image.
+    #[derive(Clone)]
+    struct Device {
+        disk: MemStore,
+        cache: BufferedStore<MemStore>,
+        syncs: Arc<AtomicU64>,
+    }
+
+    impl Device {
+        const KEY: [u8; 32] = [0xD7; 32];
+
+        fn new() -> Self {
+            let disk = MemStore::new();
+            Device {
+                cache: BufferedStore::new(disk.clone()),
+                disk,
+                syncs: Arc::default(),
+            }
+        }
+
+        fn syncs(&self) -> u64 {
+            self.syncs.load(Ordering::Relaxed)
+        }
+
+        fn crash_image(&self) -> Db {
+            Db::open(Box::new(self.disk.clone()), AeadKey::from_bytes(Self::KEY))
+                .expect("crash image reopens")
+        }
+    }
+
+    impl BlockStore for Device {
+        fn get(&self, name: &str) -> Option<Vec<u8>> {
+            self.cache.get(name)
+        }
+        fn put(&self, name: &str, data: Vec<u8>) {
+            self.cache.put(name, data)
+        }
+        fn delete(&self, name: &str) {
+            self.cache.delete(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.cache.list()
+        }
+        fn sync(&self) -> shielded_fs::Result<()> {
+            self.syncs.fetch_add(1, Ordering::Relaxed);
+            self.cache.sync()
+        }
+    }
+
+    /// One R=3 group whose two followers' databases sit on [`Device`]s,
+    /// with `policies` policies (`ga-<i>`) and one attested session each.
+    struct DeviceGroup {
+        router: ClusterRouter,
+        id: ShardId,
+        /// `devices[k - 1]` backs follower `k`.
+        devices: [Device; 2],
+        names: Vec<String>,
+        sessions: Vec<SessionId>,
+    }
+
+    impl DeviceGroup {
+        fn new(quorum: usize, policies: usize) -> Self {
+            let platform = Platform::new("cl-host", Microcode::PostForeshadow);
+            let devices = [Device::new(), Device::new()];
+            let mut set = vec![fresh_shard(&platform, 200)];
+            for (k, device) in devices.iter().enumerate() {
+                let db = Db::create(Box::new(device.clone()), AeadKey::from_bytes(Device::KEY))
+                    .expect("create db");
+                let seed = format!("device-follower-{k}");
+                let engine = Arc::new(Palaemon::new(
+                    db,
+                    SigningKey::from_seed(seed.as_bytes()),
+                    Digest::ZERO,
+                    5,
+                ));
+                engine.register_platform(platform.id(), platform.qe_verifying_key());
+                set.push(strict_shard(engine, MemFileCounter::new()));
+            }
+            let router = ClusterRouter::new(42, 64);
+            let id = ShardId(0);
+            let set = set.into_iter().map(|(s, c)| (s, Some(c))).collect();
+            router.add_replicated_shard(id, set, quorum).unwrap();
+            let names: Vec<String> = (0..policies).map(|i| format!("ga-{i}")).collect();
+            let sessions = names
+                .iter()
+                .map(|name| {
+                    create_policy(&router, name);
+                    attest(&router, &platform, name)
+                })
+                .collect();
+            DeviceGroup {
+                router,
+                id,
+                devices,
+                names,
+                sessions,
+            }
+        }
+
+        /// The distinct tag push `seq` of policy `p` carries.
+        fn tag(p: usize, seq: u8) -> Digest {
+            let mut bytes = [p as u8; 32];
+            bytes[0] = seq;
+            Digest::from_bytes(bytes)
+        }
+
+        fn push(&self, p: usize, seq: u8) -> Result<TmsResponse> {
+            self.router.handle(TmsRequest::PushTag {
+                session: self.sessions[p],
+                volume: "data".into(),
+                tag: Self::tag(p, seq),
+                event: TagEvent::Sync,
+            })
+        }
+
+        /// Whether follower `k` would still hold push `seq` of policy `p`
+        /// after a power cut right now.
+        fn survives_crash(&self, k: usize, p: usize, seq: u8) -> bool {
+            let image = self.devices[k - 1].crash_image();
+            let row = image.get(format!("tag/{}/data", self.names[p]).as_bytes());
+            row.is_some_and(|row| row[..32] == Self::tag(p, seq).as_bytes()[..])
+        }
+
+        fn pipe(&self, k: usize) -> Arc<Pipe> {
+            Arc::clone(&self.router.topology.read().shards[&self.id].pipes[k])
+        }
+
+        /// Every replica holds every policy at the chain tail, digest-equal
+        /// to the primary.
+        fn assert_converged(&self) {
+            let topo = self.router.topology.read();
+            let group = &topo.shards[&self.id];
+            let primary = group.primary_engine();
+            for name in &self.names {
+                let tail = group.chain.lock().get(name).copied();
+                assert!(tail.is_some());
+                for replica in &group.replicas {
+                    assert_eq!(replica.engine().policy_cursor(name), tail, "{name}");
+                    assert_eq!(
+                        replica.engine().policy_digest(name),
+                        primary.policy_digest(name),
+                        "{name}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Spins (no sleeping) until `cond` holds; the cap only turns a hang
+    /// into a failure.
+    fn wait_for(cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !cond() {
+            assert!(Instant::now() < deadline, "condition never held");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A durable ack means *durable on every in-quorum follower*: whenever
+    /// a push returns `Ok`, each follower's crash image already holds that
+    /// tag — although the followers sync once per window, not per delta.
+    #[test]
+    fn durable_ack_means_durable_on_every_in_quorum_follower() {
+        const WRITERS: usize = 8;
+        const PUSHES: u8 = 50;
+        let rig = DeviceGroup::new(2, WRITERS);
+        let before = [rig.devices[0].syncs(), rig.devices[1].syncs()];
+        let pipes = [rig.pipe(1), rig.pipe(2)];
+        // Hold both delivery gates until every writer's first push is
+        // queued: the first window is then WRITERS deltas wide on both
+        // followers, whatever the scheduler does with the rest.
+        let gates = pipes.each_ref().map(|p| p.delivery.lock().unwrap());
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let rig = &rig;
+                scope.spawn(move || {
+                    for seq in 0..PUSHES {
+                        rig.push(w, seq).unwrap();
+                        let status = rig.router.replica_status(rig.id).unwrap();
+                        for k in [1, 2] {
+                            assert!(status.replicas[k].in_quorum);
+                            assert!(
+                                rig.survives_crash(k, w, seq),
+                                "push {seq} of writer {w} acked before follower {k} synced it"
+                            );
+                        }
+                    }
+                });
+            }
+            wait_for(|| pipes.iter().all(|p| p.depth() == WRITERS));
+            drop(gates);
+        });
+
+        let mutations = WRITERS as u64 * u64::from(PUSHES);
+        for (device, before) in rig.devices.iter().zip(before) {
+            let syncs = device.syncs() - before;
+            assert!(
+                syncs <= mutations - (WRITERS as u64 - 1),
+                "{syncs} follower syncs for {mutations} mutations"
+            );
+        }
+        let repl = rig.router.stats().shards[0].replication;
+        assert_eq!(repl.sequence_rejections, 0, "{repl:?}");
+        assert_eq!(repl.snapshot_resyncs, 0, "{repl:?}");
+        rig.assert_converged();
+    }
+
+    /// A chain gap surfacing inside a window heals in place: only the
+    /// gapped policy resyncs, every other delta of the window acks, the
+    /// follower stays in the quorum — and the window, resync included,
+    /// still costs one sync.
+    #[test]
+    fn chain_gap_inside_a_window_resyncs_only_its_policy() {
+        const POLICIES: usize = 4;
+        // Quorum 3: a push returns `Ok` only when *both* followers acked
+        // its delta, so `Ok` below is follower 2's per-delta verdict.
+        let rig = DeviceGroup::new(3, POLICIES);
+        let op = rig.router.replica_status(rig.id).unwrap().ops + 1;
+        let plan = FaultPlan::new([PlannedFault {
+            shard: rig.id,
+            op,
+            kind: FaultKind::LoseIncremental(2),
+        }]);
+        rig.router.set_fault_plan(Arc::clone(&plan));
+        // Lost on follower 2's wire, silently: one ack short of quorum 3,
+        // nobody demoted, a gap in follower 2's chain for policy 0.
+        assert!(matches!(
+            rig.push(0, 1),
+            Err(ClusterError::QuorumLost { acked: 2, .. })
+        ));
+        assert!(plan.all_fired());
+
+        let pipe = rig.pipe(2);
+        let gate = pipe.delivery.lock().unwrap();
+        let before = rig.devices[1].syncs();
+        std::thread::scope(|scope| {
+            for p in 0..POLICIES {
+                let rig = &rig;
+                scope.spawn(move || rig.push(p, 2).unwrap());
+            }
+            wait_for(|| pipe.depth() == POLICIES);
+            drop(gate);
+        });
+
+        assert_eq!(
+            rig.devices[1].syncs() - before,
+            1,
+            "four deltas and a staged resync must share one sync"
+        );
+        let repl = rig.router.stats().shards[0].replication;
+        assert_eq!(repl.sequence_rejections, 1, "{repl:?}");
+        assert_eq!(repl.snapshot_resyncs, 1, "{repl:?}");
+        let status = rig.router.replica_status(rig.id).unwrap();
+        assert!(status.replicas[2].in_quorum);
+        assert_eq!(status.replicas[2].applied, status.replicas[0].applied);
+        for p in 0..POLICIES {
+            assert!(rig.survives_crash(2, p, 2));
+        }
+        rig.assert_converged();
+    }
+
+    /// A follower whose device fails the window's one sync fails *every*
+    /// delta of that window: each completion resolves `false` (at quorum 3
+    /// each push is one ack short; at quorum 2 each still acks through the
+    /// other follower), the follower is demoted with the first diagnosis,
+    /// and its applied token never moves.
+    #[test]
+    fn failed_follower_sync_fails_its_whole_window() {
+        const POLICIES: usize = 4;
+        for quorum in [2usize, 3] {
+            let rig = DeviceGroup::new(quorum, POLICIES);
+            let applied = rig.router.replica_status(rig.id).unwrap().replicas[2].applied;
+            let pipe = rig.pipe(2);
+            let gate = pipe.delivery.lock().unwrap();
+            // From here on the device drops writes and fails `sync`.
+            rig.devices[1].cache.fail_after(0);
+            let results: Vec<Result<TmsResponse>> = std::thread::scope(|scope| {
+                let pushes: Vec<_> = (0..POLICIES)
+                    .map(|p| {
+                        let rig = &rig;
+                        scope.spawn(move || rig.push(p, 1))
+                    })
+                    .collect();
+                wait_for(|| pipe.depth() == POLICIES);
+                drop(gate);
+                pushes.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for result in results {
+                match quorum {
+                    2 => assert!(result.is_ok(), "{result:?}"),
+                    _ => assert!(
+                        matches!(
+                            result,
+                            Err(ClusterError::QuorumLost {
+                                acked: 2,
+                                needed: 3,
+                                ..
+                            })
+                        ),
+                        "{result:?}"
+                    ),
+                }
+            }
+            let status = rig.router.replica_status(rig.id).unwrap();
+            assert!(status.replicas[1].in_quorum);
+            assert!(!status.replicas[2].in_quorum);
+            assert_eq!(
+                status.replicas[2].applied, applied,
+                "no verdict, no advance"
+            );
+            let topo = rig.router.topology.read();
+            let reason = topo.shards[&rig.id].replicas[2].reason.lock().clone();
+            let reason = reason.expect("demotion records its diagnosis");
+            assert!(
+                reason.starts_with("demoted: applying delta for policy 'ga-")
+                    && reason.matches("demoted").count() == 1,
+                "{reason}"
+            );
+        }
     }
 }

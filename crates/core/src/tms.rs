@@ -59,7 +59,7 @@ use palaemon_crypto::aead::AeadKey;
 use palaemon_crypto::randutil;
 use palaemon_crypto::sig::{SigningKey, VerifyingKey};
 use palaemon_crypto::Digest;
-use palaemon_db::{Bytes, ChangeSet, Db, DbView};
+use palaemon_db::{Bytes, ChangeSet, CommitTicket, Db, DbView};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -1167,21 +1167,34 @@ impl Palaemon {
     /// # Errors
     /// Database commit failures.
     pub fn purge_policy_records(&self, name: &str) -> Result<()> {
-        let mut db = self.db.write();
+        Ok(self.stage_policy_records(name, &[]).wait()?)
+    }
+
+    /// Replaces this instance's copy of policy `name` with `records` (none:
+    /// a purge) as **one** staged commit under one db write guard — a crash
+    /// reopens with the old or the new record set, never with neither — and
+    /// returns the window's ticket: callers re-basing several policies stage
+    /// them all, then redeem, and pay one sync.
+    pub fn stage_policy_records(&self, name: &str, records: &[(Bytes, Bytes)]) -> CommitTicket {
+        self.replace_records(&mut self.db.write(), name, records)
+    }
+
+    fn replace_records(&self, db: &mut Db, name: &str, records: &[(Bytes, Bytes)]) -> CommitTicket {
         db.delete(format!("policy/{name}").as_bytes());
         db.delete(format!("owner/{name}").as_bytes());
         for prefix in policy_record_prefixes(name) {
             db.delete_prefix(prefix.as_bytes());
         }
-        let ticket = db.commit_stage();
-        // The policy no longer lives here: its delta chain restarts and any
-        // captured-but-unforwarded changes are void (forwarding residue from
-        // before a purge would roll the new owner's records back).
+        for (key, value) in records {
+            db.put(key.clone(), value.clone());
+        }
+        // The copy was re-based outside the delta chain: the chain restarts
+        // and any captured-but-unforwarded changes are void (forwarding
+        // residue from before a purge would roll the new owner's records
+        // back).
         self.policy_cursors.lock().remove(name);
         self.pending_changes.lock().remove(name);
-        drop(db);
-        ticket.wait()?;
-        Ok(())
+        db.commit_stage()
     }
 
     /// Sessions currently attested under policy `name`. A migration closes
@@ -1346,11 +1359,25 @@ impl Palaemon {
     }
 
     /// Applies a [`PolicyDelta`] produced by another replica after
-    /// verifying its commitment digest.
+    /// verifying its commitment digest, and waits for it to be durable:
+    /// [`Palaemon::stage_policy_delta`] + [`CommitTicket::wait`].
+    ///
+    /// # Errors
+    /// As for [`Palaemon::stage_policy_delta`]; database commit failures.
+    pub fn apply_policy_delta(&self, delta: &PolicyDelta) -> Result<()> {
+        Ok(self.stage_policy_delta(delta)?.wait()?)
+    }
+
+    /// Verifies a [`PolicyDelta`]'s commitment digest and chain position,
+    /// applies it to the visible tree and stages it into the group-commit
+    /// window — all under the db write guard — returning the window's
+    /// ticket. The delta is visible at once but **durable only once the
+    /// ticket is redeemed**; a replication sender stages every delta of a
+    /// shipped window and redeems afterwards, so the window costs one sync.
     ///
     /// * A **snapshot** replaces this instance's copy of the policy
-    ///   wholesale (purge + import; an empty record set is a delete) and
-    ///   resets the policy's chain cursor to the delta's token.
+    ///   wholesale (purge + import as one commit; an empty record set is a
+    ///   delete) and resets the policy's chain cursor to the delta's token.
     /// * An **incremental** applies in place, but only when its `parent`
     ///   equals this replica's cursor for the policy — a lost or reordered
     ///   forward breaks the chain and is rejected, never silently applied.
@@ -1359,9 +1386,8 @@ impl Palaemon {
     /// [`PalaemonError::Db`] when the digest does not match the payload
     /// (corrupted or substituted delta);
     /// [`PalaemonError::DeltaOutOfSequence`] when an incremental does not
-    /// chain onto the cursor (the sender must resync with a snapshot);
-    /// database commit failures.
-    pub fn apply_policy_delta(&self, delta: &PolicyDelta) -> Result<()> {
+    /// chain onto the cursor (the sender must resync with a snapshot).
+    pub fn stage_policy_delta(&self, delta: &PolicyDelta) -> Result<CommitTicket> {
         if PolicyDelta::digest_of(&delta.policy, delta.token, delta.parent, &delta.payload)
             != delta.digest
         {
@@ -1370,40 +1396,28 @@ impl Palaemon {
                 delta.policy
             )));
         }
-        match &delta.payload {
+        let out_of_sequence = |expected, got| PalaemonError::DeltaOutOfSequence {
+            policy: delta.policy.clone(),
+            expected,
+            got,
+        };
+        let mut db = self.db.write();
+        let cursor = self.policy_cursors.lock().get(&delta.policy).copied();
+        let ticket = match &delta.payload {
             DeltaPayload::Snapshot { records } => {
                 // A snapshot may re-base the chain *forward* (resync,
                 // catch-up) but never backwards: a late or reordered
                 // snapshot carrying an older token must not roll this
                 // replica's records back under a fresh-looking facade.
-                if let Some(cursor) = self.policy_cursors.lock().get(&delta.policy).copied() {
-                    if delta.token < cursor {
-                        return Err(PalaemonError::DeltaOutOfSequence {
-                            policy: delta.policy.clone(),
-                            expected: cursor,
-                            got: delta.token,
-                        });
-                    }
+                if let Some(cursor) = cursor.filter(|&c| delta.token < c) {
+                    return Err(out_of_sequence(cursor, delta.token));
                 }
-                self.purge_policy_records(&delta.policy)?;
-                self.import_records(records)?;
-                self.policy_cursors
-                    .lock()
-                    .insert(delta.policy.clone(), delta.token);
-                Ok(())
+                self.replace_records(&mut db, &delta.policy, records)
             }
             DeltaPayload::Incremental { puts, tombstones } => {
-                let mut db = self.db.write();
-                {
-                    let cursors = self.policy_cursors.lock();
-                    let cursor = cursors.get(&delta.policy).copied().unwrap_or(0);
-                    if cursor != delta.parent {
-                        return Err(PalaemonError::DeltaOutOfSequence {
-                            policy: delta.policy.clone(),
-                            expected: cursor,
-                            got: delta.parent,
-                        });
-                    }
+                let cursor = cursor.unwrap_or(0);
+                if cursor != delta.parent {
+                    return Err(out_of_sequence(cursor, delta.parent));
                 }
                 for (key, value) in puts {
                     db.put(key.clone(), value.clone());
@@ -1411,19 +1425,17 @@ impl Palaemon {
                 for key in tombstones {
                     db.delete(key);
                 }
-                let ticket = db.commit_stage();
-                self.policy_cursors
-                    .lock()
-                    .insert(delta.policy.clone(), delta.token);
                 // A follower must never re-forward what it applied: clear
                 // any capture residue for the policy (e.g. from a stint as
                 // a deposed primary).
                 self.pending_changes.lock().remove(&delta.policy);
-                drop(db);
-                ticket.wait()?;
-                Ok(())
+                db.commit_stage()
             }
-        }
+        };
+        self.policy_cursors
+            .lock()
+            .insert(delta.policy.clone(), delta.token);
+        Ok(ticket)
     }
 
     /// One consistent cut for replica catch-up: every policy's record set,
@@ -1695,7 +1707,7 @@ mod tests {
     use crate::policy::Policy;
     use palaemon_crypto::aead::AeadKey as Key;
     use palaemon_db::Db;
-    use shielded_fs::store::MemStore;
+    use shielded_fs::store::{BufferedStore, MemStore};
     use tee_sim::platform::{Microcode, Platform};
     use tee_sim::quote::{create_report, quote_report};
 
@@ -2759,5 +2771,109 @@ board:
             )
             .unwrap_err();
         assert!(err.to_string().contains("nonce"));
+    }
+
+    /// A follower engine on a write-back device, with the disk a power cut
+    /// leaves behind: `disk` only ever holds what a `sync` flushed, so
+    /// [`crash_image`] of it is the follower's state after a crash *now*.
+    fn follower_on_device() -> (Palaemon, BufferedStore<MemStore>, MemStore) {
+        let disk = MemStore::new();
+        let device = BufferedStore::new(disk.clone());
+        let db = Db::create(Box::new(device.clone()), Key::from_bytes([1; 32])).expect("create db");
+        let follower = Palaemon::new(db, SigningKey::from_seed(b"follower"), Digest::ZERO, 8);
+        (follower, device, disk)
+    }
+
+    fn crash_image(disk: &MemStore) -> Db {
+        Db::open(Box::new(disk.clone()), Key::from_bytes([1; 32])).expect("crash image reopens")
+    }
+
+    /// The snapshot arm is one commit: whichever device operation of a
+    /// resync the follower dies at, it reopens with the policy's old or new
+    /// record set — never with the purged-but-not-yet-imported nothing.
+    #[test]
+    fn snapshot_resync_is_crash_atomic_at_every_device_op() {
+        let (primary, platform, _, mre) = setup();
+        let old = primary.export_policy_snapshot("p1", 1);
+        let binding = [4u8; 64];
+        let config = primary
+            .attest_service(&quote_for(&platform, mre, binding), &binding, "p1", "app")
+            .unwrap();
+        primary
+            .push_tag(
+                config.session,
+                "data",
+                Digest::from_bytes([0x77; 32]),
+                TagEvent::Sync,
+            )
+            .unwrap();
+        let new = primary.export_policy_snapshot("p1", 2);
+        let records_of = |delta: &PolicyDelta| match &delta.payload {
+            DeltaPayload::Snapshot { records } => records.clone(),
+            DeltaPayload::Incremental { .. } => panic!("snapshot expected"),
+        };
+        let (old_records, new_records) = (records_of(&old), records_of(&new));
+        assert!(!old_records.is_empty() && old_records != new_records);
+
+        // Sweep the fuse until the resync gets through untouched.
+        for fuse in 0.. {
+            let (follower, device, disk) = follower_on_device();
+            follower.apply_policy_delta(&old).unwrap();
+            device.fail_after(fuse);
+            let outcome = follower.apply_policy_delta(&new);
+            device.crash();
+            let held = export_records_from(&crash_image(&disk).view(), "p1");
+            assert!(
+                held == old_records || held == new_records,
+                "crash at device op {fuse} tore the policy: {} records left",
+                held.len()
+            );
+            if outcome.is_ok() {
+                assert_eq!(held, new_records, "an acked resync must be durable");
+                assert!(fuse > 0, "the sweep must have crossed the resync");
+                break;
+            }
+        }
+    }
+
+    /// Stage-then-redeem: N staged deltas share one WAL window (the first
+    /// redeemed ticket syncs for all of them), and until a ticket redeems
+    /// the delta — though visible and chained — is not in the crash image.
+    #[test]
+    fn staged_deltas_cost_one_window_and_are_durable_only_once_redeemed() {
+        const N: u64 = 5;
+        let (primary, _, _, _) = setup();
+        let (follower, _device, disk) = follower_on_device();
+        follower
+            .apply_policy_delta(&primary.export_policy_snapshot("p1", 1))
+            .unwrap();
+        let key = |i: u64| format!("tag/p1/vol-{i}").into_bytes();
+        let windows = || follower.db.read().stats().wal_windows;
+        let before = windows();
+
+        let tickets: Vec<CommitTicket> = (0..N)
+            .map(|i| {
+                let mut changes = ChangeSet::default();
+                changes.record_put(key(i), vec![i as u8; 33]);
+                follower
+                    .stage_policy_delta(&PolicyDelta::incremental("p1", changes, i + 2, i + 1))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            follower.policy_cursor("p1"),
+            Some(N + 1),
+            "staged = chained"
+        );
+        assert_eq!(windows(), before, "staging must not sync");
+        let image = crash_image(&disk);
+        assert!((0..N).all(|i| image.get(&key(i)).is_none()));
+
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        assert_eq!(windows(), before + 1, "one window for all {N} deltas");
+        let image = crash_image(&disk);
+        assert!((0..N).all(|i| image.get(&key(i)).is_some()));
     }
 }
