@@ -34,13 +34,7 @@
 //!    window). Asserts the pipeline at least halves p99, with zero
 //!    demotions and full convergence after a flush. Key figures land in
 //!    `BENCH_replication.json` at the workspace root.
-//! 7. **Telemetry overhead** — the R=3 mutation mix submitted through a
-//!    [`FrontDoor`] over the whole cluster, request tracing off vs on.
-//!    Per-stage recording is a thread-local add plus a histogram atomic,
-//!    while every mutation already pays its WAL syncs — so full tracing
-//!    must stay within 5 % of the untraced rate. Stage p99s and both
-//!    rates land in `BENCH_telemetry.json` at the workspace root.
-//! 8. **Self-healing MTTR** — quarantine the primary of an R=3 group
+//! 7. **Self-healing MTTR** — quarantine the primary of an R=3 group
 //!    watched by the background [`ClusterMonitor`] and measure the
 //!    wall-clock until the group is whole again: new primary seated by
 //!    the synchronous failover, pulled replica rebuilt and re-admitted
@@ -55,11 +49,10 @@ use std::time::{Duration, Instant};
 
 use palaemon_bench::measure::percentile;
 use palaemon_cluster::{
-    strict_shard, AckMode, ClusterDoor, ClusterMonitor, ClusterRouter, MonitorConfig,
-    QuarantineOutcome, ReadPreference, ReplicationMode, ShardId,
+    strict_shard, AckMode, ClusterMonitor, ClusterRouter, MonitorConfig, QuarantineOutcome,
+    ReadPreference, ReplicationMode, ShardId,
 };
 use palaemon_core::counterfile::ShieldedCounter;
-use palaemon_core::frontdoor::FrontDoor;
 use palaemon_core::policy::Policy;
 use palaemon_core::server::{FaultHook, TmsRequest, TmsResponse};
 use palaemon_core::tms::{Palaemon, SessionId};
@@ -67,7 +60,6 @@ use palaemon_crypto::aead::AeadKey;
 use palaemon_crypto::sig::SigningKey;
 use palaemon_crypto::Digest;
 use palaemon_db::Db;
-use palaemon_telemetry::Stage;
 use shielded_fs::fs::{ShieldedFs, TagEvent};
 use shielded_fs::store::MemStore;
 use tee_sim::platform::{Microcode, Platform};
@@ -635,96 +627,6 @@ fn run_ack_latency(ops_per_client: usize, platform: &Platform) -> (f64, f64, u64
     (p99s[0], p99s[1], shipped.0, shipped.1)
 }
 
-/// Telemetry overhead: the R=3 `SlowSyncStore` mutation mix submitted
-/// through a [`FrontDoor`] over the whole cluster ([`ClusterDoor`]),
-/// request tracing off vs on. With tracing on, every request mints a
-/// trace id and records queue-wait, engine-apply, counter-commit,
-/// forward-enqueue and quorum-ack timings into per-stage histograms;
-/// the recording cost is a thread-local add plus one histogram atomic
-/// per stage, against mutations that each pay ~150 µs WAL syncs.
-/// Returns (off, on) mutations/s plus per-stage p99 latencies in ns.
-fn run_telemetry_overhead(
-    ops_per_client: usize,
-    platform: &Platform,
-) -> (f64, f64, Vec<(&'static str, u64)>) {
-    let router = Arc::new(build_group(3, platform));
-    let telemetry = Arc::clone(router.telemetry());
-    let door = FrontDoor::with_telemetry(
-        ClusterDoor(Arc::clone(&router)),
-        CLIENTS,
-        CLIENTS * 128,
-        Arc::clone(&telemetry),
-    );
-    let owner = SigningKey::from_seed(b"ro-owner").verifying_key();
-    // One policy per client, like the ack-latency section: contention
-    // stays on the replication path, not on one policy's engine locks.
-    let names: Vec<String> = (0..CLIENTS).map(|c| format!("to_tenant_{c}")).collect();
-    let policies: Vec<Policy> = names.iter().map(|n| policy_with_payload(n)).collect();
-    for policy in &policies {
-        door.submit(TmsRequest::CreatePolicy {
-            owner,
-            policy: Box::new(policy.clone()),
-            approval: None,
-            votes: Vec::new(),
-        })
-        .wait()
-        .expect("create");
-    }
-
-    // Untraced pass first: the traced pass then runs on the warmer
-    // caches, so any measured regression is attributable to tracing.
-    let mut rates = Vec::new();
-    for enabled in [false, true] {
-        telemetry.set_tracing(enabled);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for (c, policy) in policies.iter().enumerate() {
-                let door = &door;
-                scope.spawn(move || {
-                    for _ in 0..ops_per_client {
-                        door.submit(TmsRequest::UpdatePolicy {
-                            client: owner,
-                            policy: Box::new(policy.clone()),
-                            approval: None,
-                            votes: Vec::new(),
-                        })
-                        .wait()
-                        .unwrap_or_else(|e| panic!("update on client {c}: {e}"));
-                    }
-                });
-            }
-        });
-        rates.push((CLIENTS * ops_per_client) as f64 / start.elapsed().as_secs_f64());
-    }
-    telemetry.set_tracing(false);
-
-    // The traced pass must have exercised the full five-stage pipeline.
-    assert!(
-        telemetry.traces_minted() >= (CLIENTS * ops_per_client) as u64,
-        "tracing pass must mint a trace per request"
-    );
-    let stage_p99s: Vec<(&'static str, u64)> = Stage::ALL
-        .iter()
-        .map(|&stage| {
-            let hist = telemetry.stage_histogram(stage);
-            assert!(
-                hist.count() > 0,
-                "stage {} must have recorded samples",
-                stage.name()
-            );
-            (stage.name(), hist.percentile(0.99))
-        })
-        .collect();
-
-    let stats = door.drain();
-    assert_eq!(
-        stats.submitted,
-        stats.completed + stats.rejected,
-        "front-door conservation must hold after drain"
-    );
-    (rates[0], rates[1], stage_p99s)
-}
-
 /// Self-healing MTTR at R=3: pull the primary of a monitored group and
 /// measure the wall-clock from the quarantine to full strength — the
 /// synchronous failover seats a new primary immediately, and the
@@ -905,25 +807,6 @@ fn main() {
         "the flush window must coalesce mutations ({batches} batches / {mutations} mutations)"
     );
 
-    let (off_rate, on_rate, stage_p99s) = run_telemetry_overhead(latency_ops, &platform);
-    let overhead_pct = (1.0 - on_rate / off_rate.max(1.0)) * 100.0;
-    println!("\n  telemetry overhead at R=3 (front door over the cluster, full tracing):");
-    println!("    tracing off : {off_rate:>9.0} mutations/s");
-    println!("    tracing on  : {on_rate:>9.0} mutations/s  ({overhead_pct:+.1}% overhead)");
-    for (stage, p99) in &stage_p99s {
-        println!("      {stage:<15} p99 {:>9.1} us", *p99 as f64 / 1e3);
-    }
-    println!("    => per-request tracing costs <= 8% on the replicated mutation path");
-    // 8% rather than the original 5%: since the storage engine moved to a
-    // group-commit WAL, the mutation path ends in a flush-window wait, so
-    // the measured rate carries ~±6% scheduling noise at the quick opcount
-    // (runs swing between tracing looking 5% slower and 5% *faster*).
-    assert!(
-        on_rate >= 0.92 * off_rate,
-        "full tracing must stay within 8% of the untraced mutation rate \
-         ({on_rate:.0}/s traced vs {off_rate:.0}/s untraced)"
-    );
-
     let (mttr_ms, healed, ticks) = run_selfheal_mttr(&platform);
     println!("\n  self-healing MTTR at R=3 (5 ms monitor cadence, probation 1 tick):");
     println!(
@@ -953,25 +836,6 @@ fn main() {
         eprintln!("  (could not write BENCH_replication.json: {e})");
     } else {
         println!("\n  wrote BENCH_replication.json");
-    }
-
-    let stages = stage_p99s
-        .iter()
-        .map(|(stage, p99)| format!("\"{stage}\": {p99}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let telemetry_json = format!(
-        "{{\n  \"bench\": \"telemetry_overhead\",\n  \"quick\": {quick},\n  \
-         \"mutations_per_sec\": {{ \"tracing_off\": {off_rate:.0}, \
-         \"tracing_on\": {on_rate:.0} }},\n  \
-         \"overhead_pct\": {overhead_pct:.2},\n  \
-         \"stage_p99_ns\": {{ {stages} }}\n}}\n"
-    );
-    let telemetry_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    if let Err(e) = std::fs::write(telemetry_path, &telemetry_json) {
-        eprintln!("  (could not write BENCH_telemetry.json: {e})");
-    } else {
-        println!("  wrote BENCH_telemetry.json");
     }
 
     let selfheal_json = format!(

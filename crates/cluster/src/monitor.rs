@@ -45,7 +45,9 @@
 //! probation book-keeping; each step uses the router's public/internal
 //! entry points, whose acquisition order is the dispatch order
 //! (`topology` read → group `forward_lock` → pipe `delivery` then
-//! `queue` → engine locks) — see the lock-order note in [`crate::router`].
+//! `queue` → engine locks; `delivery` is never held across the wire, so a
+//! sweep's fence waits for at most one in-flight stage + sync) — see the
+//! lock-order note in [`crate::router`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,11 +15,13 @@
 //! * aggregates (`PolicyCount`, `SessionCount`) fan out and sum.
 //!
 //! ## Replication protocol (incremental deltas + write quorum)
-//! Every mutation is applied by the group's **primary** replica. After the
-//! primary durably applies it (and commits it on its Fig. 6 counter), the
-//! router — still inside the client's call — forwards a *counter-attested
-//! delta* ([`PolicyDelta`](palaemon_core::tms::PolicyDelta)) to every
-//! in-quorum follower. In the default [`ReplicationMode::Incremental`] the
+//! Every mutation is applied by the group's **primary** replica. Once the
+//! primary has applied it — commit staged in its WAL window, redeemed (and
+//! covered by its Fig. 6 counter) while the forward is already under way —
+//! the router, still inside the client's call, forwards a
+//! *counter-attested delta*
+//! ([`PolicyDelta`](palaemon_core::tms::PolicyDelta)) to every in-quorum
+//! follower. In the default [`ReplicationMode::Incremental`] the
 //! delta carries only **what the mutation changed** (the engine's captured
 //! write batch: puts + tombstones — e.g. just the tag row for a tag push),
 //! digest-bound to the policy name and *chained to the predecessor delta's
@@ -44,11 +46,34 @@
 //! Forwards no longer ride the client's call. The primary enqueues each
 //! delta onto a **per-follower background channel** under the forward
 //! lock — the critical section is now seat-check + capture-drain +
-//! enqueue, microseconds instead of R−1 wire round-trips — and a
-//! dedicated sender thread per follower pops *everything* queued, pays
-//! the wire once, then **stages** each delta of that window on the
-//! follower in queue order (digest check, chain check, tree apply, cursor
-//! advance, into the follower's group-commit window) and only afterwards
+//! enqueue, microseconds instead of R−1 wire round-trips.
+//!
+//! **Overlap, don't serialize.** Of a durable mutation's four waits — the
+//! primary's WAL sync, the sender finishing its previous cycle, the wire,
+//! the follower's sync — only wire → follower sync depend on each other,
+//! and Fig. 6 orders just the *acknowledgement* after "state durable,
+//! counter covered". So (1) **the primary redeems its own commit behind
+//! the forward**: the mutation is *staged* on the primary
+//! ([`TmsServer::stage`]), its delta enqueued, and only then are the local
+//! commit ticket (+ counter commit) redeemed and the followers' verdicts
+//! awaited — `Ok` needs **both**, so it still means durable in the
+//! primary's crash image *and* on every in-quorum follower. (2) **Wire
+//! transit is an arrival deadline on the delta, not a sleep in the
+//! sender**: a queued forward carries the instant the modelled wire
+//! delivers it — send time + the forward latency; durable deltas are sent
+//! at enqueue (stamped under the forward lock, so deadlines are
+//! queue-ordered), windowed ones when their flush window closes. The
+//! sender waits for its head to arrive holding only the queue condvar,
+//! then delivers the arrived *prefix* — never reordered — as one window:
+//! window N+1 travels while window N syncs, and no delta is staged before
+//! its transit has elapsed. A fence drain sends what is unsent, waits out
+//! only the residual transit of the newest queued item, then delivers
+//! everything.
+//!
+//! A dedicated sender thread per follower pops that arrived window, then
+//! **stages** each delta of it on the follower in queue order (digest
+//! check, chain check, tree apply, cursor advance, into the follower's
+//! group-commit window) and only afterwards
 //! **redeems** the commit tickets: the first leads one `sync` for the
 //! whole window, the rest read its verdict. A follower's applied token
 //! advances and a waiting mutation is released only behind that verdict,
@@ -149,6 +174,9 @@
 //! (any engine's internal locks). Sender threads take only their own
 //! pipe's locks and engine locks — never `forward_lock` or `topology` —
 //! so the request path and the background data plane cannot deadlock.
+//! `delivery` covers pop + stage + redeem and is **not** held across the
+//! wire: a sender's arrival wait holds `queue` only (a condvar wait), so
+//! fence drains and heals never queue behind a delta in transit.
 //! The monitor thread follows the dispatch order exactly: its sweeps take
 //! `topology` (read) → `forward_lock` → pipe `delivery` then `queue` →
 //! engine locks, and its health probes hold **no** router lock at all, so
@@ -295,11 +323,13 @@ pub enum ReplicationMode {
 /// When a replicated mutation acknowledges to the client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AckMode {
-    /// Block until the delta is **durable** on every live follower — the
-    /// synchronous semantics every caller had before pipelining. Deltas
-    /// are never coalesced (omission faults surface per delta), but a
-    /// popped window is staged whole on the follower and synced once:
-    /// each delta's ack is that one sync's verdict, not a sync of its own.
+    /// Block until the delta is **durable** on every live follower *and*
+    /// in the primary's own crash image — the synchronous semantics every
+    /// caller had before pipelining. The delta is sent at enqueue, and the
+    /// primary's WAL sync runs while it travels. Deltas are never
+    /// coalesced (omission faults surface per delta), but everything that
+    /// has arrived is staged whole on the follower and synced once: each
+    /// delta's ack is that one sync's verdict, not a sync of its own.
     #[default]
     Durable,
     /// Acknowledge at local commit + enqueue-under-quorum: the write is
@@ -336,9 +366,10 @@ struct PipelineConfig {
     window_micros: AtomicU64,
     /// Max queued mutations one flush covers before the timer fires.
     window_cap: AtomicUsize,
-    /// Modelled one-way wire latency per shipped batch, in microseconds —
-    /// the cost windowing amortizes. 0 (production default) disables it;
-    /// benches set it to measure the pipelining win.
+    /// Modelled one-way wire latency per delta sent, in microseconds —
+    /// overlappable: a delta's transit runs concurrently with its
+    /// predecessors' follower sync and the primary's own. 0 (production
+    /// default) disables it; benches set it to price the wire.
     forward_latency_micros: AtomicU64,
 }
 
@@ -374,11 +405,14 @@ impl PipelineConfig {
     }
 }
 
-/// Upper bound a durable-ack waiter spends on one follower delivery
-/// before treating it as failed (the sender resolves long before this in
-/// any healthy run; the cap only prevents an unbounded hang if a sender
-/// is wedged — the write then reports [`ClusterError::QuorumLost`], whose
-/// contract already allows the write to survive).
+/// Upper bound a durable-ack mutation spends waiting on its follower
+/// deliveries — one deadline shared by all of them, so a wedged group
+/// holds a front-door worker this long, not R−1 times this long — before
+/// treating the unresolved ones as failed (the senders resolve long
+/// before this in any healthy run; the cap only prevents an unbounded
+/// hang if a sender is wedged — the write then reports
+/// [`ClusterError::QuorumLost`], whose contract already allows the write
+/// to survive).
 const ACK_WAIT_CAP: Duration = Duration::from_secs(30);
 
 /// Replication and read-path telemetry of one replica group — what the
@@ -1009,9 +1043,9 @@ impl Completion {
         self.done.notify_all();
     }
 
-    /// Blocks until resolved; `false` on failure or after `cap`.
-    fn wait(&self, cap: Duration) -> bool {
-        let deadline = Instant::now() + cap;
+    /// Blocks until resolved; `false` on failure or once `deadline`
+    /// passes.
+    fn wait(&self, deadline: Instant) -> bool {
         let mut state = self.state.lock().unwrap();
         loop {
             if let Some(ok) = *state {
@@ -1030,6 +1064,12 @@ impl Completion {
 /// One delta queued on a follower's forward channel.
 struct QueuedForward {
     delta: PolicyDelta,
+    /// When the modelled wire delivers the delta to the follower: send
+    /// time + [`PipelineConfig::forward_latency`]. Durable-ack items are
+    /// sent at enqueue (stamped under `forward_lock`, so deadlines are
+    /// queue-ordered); windowed items are `None` — unsent — until their
+    /// flush window closes. Nothing is staged before it has arrived.
+    arrives: Option<Instant>,
     /// Present for durable-ack items: the mutation blocks on it, and the
     /// sender ships the item individually (never coalesced).
     completion: Option<Arc<Completion>>,
@@ -1052,11 +1092,26 @@ struct PipeQueue {
     shutdown: bool,
 }
 
+impl PipeQueue {
+    /// Puts everything still unsent on the wire now; returns when the
+    /// newest queued item lands (`None`: nothing queued).
+    fn send_all(&mut self, latency: Duration) -> Option<Instant> {
+        let arrives = Instant::now() + latency;
+        self.items
+            .iter_mut()
+            .map(|item| *item.arrives.get_or_insert(arrives))
+            .max()
+    }
+}
+
 /// One follower's background forward channel plus its wakeup machinery.
 /// Lock order: `delivery` strictly before `queue`. `delivery` is held
 /// across pop + stage + redeem (by the sender or a fence drain), which
 /// makes "queue empty" observed under both locks mean "everything
-/// enqueued so far has been applied and synced".
+/// enqueued so far has been applied and synced". It is **not** held while
+/// a delta is in transit: the sender waits for its head to arrive holding
+/// `queue` only (a condvar wait), so the next window travels while this
+/// one syncs and a fence never queues behind a wire wait.
 struct Pipe {
     queue: StdMutex<PipeQueue>,
     ready: Condvar,
@@ -1120,15 +1175,22 @@ impl Pipe {
         }
     }
 
-    /// Pops the whole queue (respecting `stalled` unless `ignore_stall`)
-    /// together with whether a [`FaultKind::DropBatch`] consumes it.
-    /// Caller holds `delivery`.
-    fn pop_all(&self, ignore_stall: bool) -> (Vec<QueuedForward>, bool) {
+    /// Pops the prefix of the queue that has arrived — never past an item
+    /// still in transit, so delivery order is queue order — respecting
+    /// `stalled` unless `ignore_stall`, together with whether a
+    /// [`FaultKind::DropBatch`] consumes it. Caller holds `delivery`.
+    fn pop_arrived(&self, ignore_stall: bool) -> (Vec<QueuedForward>, bool) {
         let mut q = self.queue.lock().unwrap();
         if q.stalled && !ignore_stall {
             return (Vec::new(), false);
         }
-        let items: Vec<QueuedForward> = q.items.drain(..).collect();
+        let now = Instant::now();
+        let arrived = q
+            .items
+            .iter()
+            .take_while(|item| item.arrives.is_some_and(|at| at <= now))
+            .count();
+        let items: Vec<QueuedForward> = q.items.drain(..arrived).collect();
         let dropped = !items.is_empty() && std::mem::take(&mut q.drop_next);
         (items, dropped)
     }
@@ -1375,11 +1437,11 @@ impl GroupCore {
         staged.ok()
     }
 
-    /// Delivers one popped window to follower `k`: accounts the flush,
-    /// coalesces, pays the modelled wire latency once for the whole
-    /// batch, **stages** every shipment in queue order and only then
-    /// **redeems** the tickets — the first leads one sync covering the
-    /// window, the rest find it flushed. `applied` and the completions
+    /// Delivers one popped window — every item of it has arrived — to
+    /// follower `k`: accounts the flush, coalesces, **stages** every
+    /// shipment in queue order and only then **redeems** the tickets —
+    /// the first leads one sync covering the window, the rest find it
+    /// flushed. `applied` and the completions
     /// move behind each ticket's verdict, so an ack still means "durable
     /// on this follower"; a failed stage or verdict demotes it and
     /// resolves `false`. `dropped` consumes the transfer on the wire
@@ -1409,10 +1471,6 @@ impl GroupCore {
                 }
             }
             return 0;
-        }
-        let latency = self.config.forward_latency();
-        if !latency.is_zero() {
-            std::thread::sleep(latency);
         }
         let mut delivered = 0u64;
         let mut staged = Vec::with_capacity(shipments.len());
@@ -1453,9 +1511,12 @@ impl GroupCore {
 }
 
 /// The per-follower background sender: waits for queued deltas, batches
-/// a flush window in [`AckMode::Windowed`] (durable items flush
-/// immediately), and ships under the pipe's delivery lock so fence
-/// drains stay atomic with in-flight deliveries.
+/// a flush window in [`AckMode::Windowed`] (durable items were sent at
+/// enqueue), sends what is still unsent, waits — holding `queue` only —
+/// for the head to arrive, and delivers everything that has arrived under
+/// the pipe's delivery lock so fence drains stay atomic with in-flight
+/// deliveries. While one window syncs the next is already travelling, so
+/// a busy channel cycles once per follower sync, not per wire + sync.
 fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Arc<Replica>) {
     loop {
         let reason = {
@@ -1477,7 +1538,7 @@ fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Ar
             let window = core.config.flush_window();
             let cap = core.config.window_cap();
             let durable_queued = |q: &PipeQueue| q.items.iter().any(|i| i.completion.is_some());
-            if window.is_zero() || durable_queued(&q) {
+            let reason = if window.is_zero() || durable_queued(&q) {
                 FlushReason::Durable
             } else {
                 // Windowed accumulation: batch until the timer elapses,
@@ -1504,13 +1565,30 @@ fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Ar
                     q = guard;
                 }
                 reason
+            };
+            // The window is closed: what it accumulated leaves now, and
+            // the head's transit is waited out on the condvar — a fence
+            // (or shutdown, or a stall) may take over meanwhile.
+            q.send_all(core.config.forward_latency());
+            while !(q.shutdown || q.stalled) {
+                let Some(wait) = q
+                    .items
+                    .front()
+                    .and_then(|head| head.arrives)
+                    .map(|at| at.saturating_duration_since(Instant::now()))
+                    .filter(|wait| !wait.is_zero())
+                else {
+                    break;
+                };
+                q = pipe.ready.wait_timeout(q, wait).unwrap().0;
             }
+            reason
         };
         // Queue lock released; take delivery → queue (the lock order the
-        // fence drain also follows) and ship whatever is still there — a
+        // fence drain also follows) and ship whatever has arrived — a
         // racing fence may have drained it already.
         let _delivery = pipe.delivery.lock().unwrap();
-        let (items, dropped) = pipe.pop_all(false);
+        let (items, dropped) = pipe.pop_arrived(false);
         if items.is_empty() {
             continue;
         }
@@ -1607,7 +1685,10 @@ impl ReplicaSet {
 
     /// Fences and drains every follower channel: delivers everything
     /// queued (atomically w.r.t. in-flight sender deliveries) before
-    /// returning, so "drained" means *applied*, not just dequeued.
+    /// returning, so "drained" means *applied*, not just dequeued. What
+    /// is still unsent is sent now, and only the residual transit of the
+    /// newest queued item is waited out (nothing enqueues meanwhile — the
+    /// caller's `forward_lock` — so afterwards everything has arrived).
     /// Returns the mutations the drain delivered, recording a
     /// [`EventKind::FenceDrain`] per non-empty channel. Caller holds
     /// `forward_lock`.
@@ -1619,7 +1700,15 @@ impl ReplicaSet {
                 continue; // nobody to deliver to; reinstate clears it
             }
             let _delivery = pipe.delivery.lock().unwrap();
-            let (items, dropped) = pipe.pop_all(ignore_stall);
+            let landed = pipe
+                .queue
+                .lock()
+                .unwrap()
+                .send_all(self.config.forward_latency());
+            if let Some(at) = landed {
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            }
+            let (items, dropped) = pipe.pop_arrived(ignore_stall);
             if items.is_empty() {
                 continue;
             }
@@ -2427,9 +2516,11 @@ impl ClusterRouter {
             .store(cap.max(1), Ordering::Release);
     }
 
-    /// Sets a modelled one-way wire latency paid once per shipped batch —
-    /// the per-message cost windowing amortizes. Zero (the default)
-    /// disables it; benches use it to measure the pipelining win.
+    /// Sets a modelled one-way wire latency: every delta arrives this long
+    /// after it was sent (durable deltas at enqueue, windowed ones when
+    /// their flush window closes) and is never staged on a follower
+    /// earlier. Transits overlap each other and the syncs on either end.
+    /// Zero (the default) disables it; benches use it to price the wire.
     pub fn set_forward_latency(&self, latency: Duration) {
         self.pipeline
             .forward_latency_micros
@@ -2691,22 +2782,29 @@ impl ClusterRouter {
                     Some(p) => Some(p.to_string()),
                     None => local.and_then(|l| primary.engine().policy_of_session(l)),
                 };
-                let response = primary.server.handle(request);
+                // Stage only: the commit sits in the primary's WAL window
+                // and is redeemed *behind* the forward (inside
+                // `replicate`), so the local sync overlaps the wire and
+                // the followers' syncs instead of preceding them.
+                let staged = primary.server.stage(request);
                 burn_spent_nonce(pidx);
-                let response = response.map_err(ClusterError::Engine)?;
+                let staged = staged.map_err(ClusterError::Engine)?;
                 let Some(policy) = mutation_policy else {
                     // The session vanished between resolution and apply
                     // yet the engine accepted the write: it reached only
                     // the primary and must NOT be acknowledged as
-                    // replicated.
+                    // replicated (its commit is still redeemed, so the
+                    // server's request accounting stays whole).
+                    let _ = staged.redeem();
                     return Err(ClusterError::QuorumLost {
                         shard: id,
                         acked: 1,
                         needed: group.write_quorum,
                     });
                 };
-                self.replicate(id, group, pidx, &policy)?;
-                return Ok(response);
+                return self.replicate(id, group, pidx, &policy, || {
+                    staged.redeem().map_err(ClusterError::Engine)
+                });
             }
             // Only non-mutations can come back around the loop (failover
             // retry), so only they pay the clone.
@@ -2823,7 +2921,9 @@ impl ClusterRouter {
                 counter.commit().map_err(ClusterError::Engine)?;
             }
             if tgroup.replicas.len() > 1 {
-                self.replicate(tid, tgroup, tpidx, target)?;
+                // Already durable and counter-covered above: nothing
+                // left to redeem behind the forward.
+                self.replicate(tid, tgroup, tpidx, target, || Ok(()))?;
             }
         }
         Ok(())
@@ -2984,22 +3084,53 @@ impl ClusterRouter {
         follower.engine().policy_cursor(&policy) == tail
     }
 
-    /// Replicates the counter-attested delta of `policy` — just mutated
-    /// and committed on the primary — to the group's in-quorum followers
-    /// via their background channels. The forward lock covers only
-    /// seat-check + capture-drain + chain assignment + enqueue, so
-    /// independent mutations of one shard pipeline concurrently; the wire
-    /// time runs on the senders. [`AckMode::Durable`] then blocks (lock
-    /// released) until every enqueued delivery resolves and acknowledges
-    /// at write quorum of *applied* replicas; [`AckMode::Windowed`]
-    /// acknowledges at enqueue-under-quorum. In
-    /// [`ReplicationMode::Incremental`] the delta carries only what the
-    /// mutation changed (the engine's captured [`ChangeSet`]), chained
-    /// onto the policy's previous token; a follower whose chain does not
-    /// match — fresh, lagging, or victim of a lost/reordered forward —
-    /// rejects it and is resynced on the spot with a snapshot delta.
-    /// Consults the fault plan at the three injection sites.
-    fn replicate(&self, id: ShardId, group: &ReplicaSet, pidx: usize, policy: &str) -> Result<()> {
+    /// Replicates the counter-attested delta of `policy` — just mutated on
+    /// the primary, its commit staged or already durable — to the group's
+    /// in-quorum followers via their background channels, redeeming the
+    /// primary's own commit (`redeem`) **behind** the forward: enqueue
+    /// under `forward_lock` → redeem the local ticket → wait the
+    /// followers' verdicts, so the primary's WAL sync runs while the delta
+    /// travels and the followers sync. Fig. 6 orders only the
+    /// *acknowledgement* after "state durable, counter covered", and so
+    /// does this: `Ok` needs **both** verdicts. `redeem` runs on every
+    /// path, early returns included, so the server counts each request
+    /// once; if it fails after the enqueue the call returns its error
+    /// un-acked and the forwarded delta is allowed to survive (the
+    /// [`ClusterError::QuorumLost`] contract — the write stays in the
+    /// primary's visible tree; chain and cursors agree group-wide).
+    ///
+    /// The forward lock covers only seat-check + capture-drain + chain
+    /// assignment + enqueue, so independent mutations of one shard
+    /// pipeline concurrently. [`AckMode::Durable`] then blocks (lock
+    /// released) until every enqueued delivery resolves — all waits share
+    /// one [`ACK_WAIT_CAP`] deadline — and acknowledges at write quorum of
+    /// *applied* replicas; [`AckMode::Windowed`] acknowledges at
+    /// enqueue-under-quorum. In [`ReplicationMode::Incremental`] the delta
+    /// carries only what the mutation changed (the engine's captured
+    /// [`ChangeSet`]), chained onto the policy's previous token; a
+    /// follower whose chain does not match is resynced on the spot with a
+    /// snapshot delta. Consults the fault plan at the three injection
+    /// sites.
+    ///
+    /// **Freshness token:** still `max(primary counter value, watermark +
+    /// 1)`. The counter value is now read *before* this mutation's own
+    /// Fig. 6 increment, but it is only a floor keeping tokens in step
+    /// with the physical counter; monotonicity comes from `watermark + 1`
+    /// alone, so group-monotonicity is unaffected (a token may merely
+    /// trail the counter by the increments in flight). `primary.applied`
+    /// moves at enqueue, not behind the local verdict: the token names the
+    /// state the seat *serves* — the mutation is in its visible tree from
+    /// `stage` on, which is what primary reads return and catch-up copies
+    /// and stamps its target with — and the seat is never a candidate in
+    /// its own failover election.
+    fn replicate<T>(
+        &self,
+        id: ShardId,
+        group: &ReplicaSet,
+        pidx: usize,
+        policy: &str,
+        redeem: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
         let primary = &group.replicas[pidx];
         let durable = group.config.ack_mode() == AckMode::Durable;
         // Deliveries this mutation is waiting on: (completion, whether it
@@ -3007,7 +3138,7 @@ impl ClusterRouter {
         let mut waits: Vec<(Arc<Completion>, bool)> = Vec::new();
         let mut acked = 1usize; // the primary itself
         let enqueue = trace::start();
-        let (op, plan) = {
+        let enqueued = 'forward: {
             let _forward = group.forward_lock.lock();
             if group.primary_idx() != pidx || primary.is_quarantined() {
                 // A failover deposed us between the engine apply and the
@@ -3015,7 +3146,7 @@ impl ClusterRouter {
                 // is not acknowledged. Its captured changes stay
                 // undrained; the snapshot-based catch-up voids them
                 // before any rejoin.
-                return Err(ClusterError::ShardUnavailable(id));
+                break 'forward Err(ClusterError::ShardUnavailable(id));
             }
             let op = group.ops.fetch_add(1, Ordering::Relaxed) + 1;
             let plan = if self.fault_armed.load(Ordering::Acquire) {
@@ -3032,7 +3163,7 @@ impl ClusterRouter {
                     // locally: it was never acked, so losing it in the
                     // failover is sound.
                     group.depose_locked(pidx, "fault: primary crashed before forwarding".into());
-                    return Err(ClusterError::ShardUnavailable(id));
+                    break 'forward Err(ClusterError::ShardUnavailable(id));
                 }
             }
             // Drain what the mutation changed and assign the chain
@@ -3064,6 +3195,10 @@ impl ClusterRouter {
                 }
                 ReplicationMode::Snapshot => primary.engine().export_policy_snapshot(policy, token),
             };
+            // A durable delta goes on the wire now (stamped under the
+            // lock, so deadlines are queue-ordered); a windowed one when
+            // its sender's flush window closes.
+            let arrives = durable.then(|| Instant::now() + group.config.forward_latency());
             for (k, follower) in group.replicas.iter().enumerate() {
                 if k == pidx || follower.is_quarantined() {
                     continue;
@@ -3108,6 +3243,7 @@ impl ClusterRouter {
                 let completion = durable.then(Completion::new);
                 group.pipes[k].push(QueuedForward {
                     delta: delta.clone(),
+                    arrives,
                     completion: completion.clone(),
                     stale: false,
                 });
@@ -3131,6 +3267,7 @@ impl ClusterRouter {
                     let completion = durable.then(Completion::new);
                     group.pipes[k].push(QueuedForward {
                         delta: stale,
+                        arrives,
                         completion: completion.clone(),
                         stale: true,
                     });
@@ -3139,14 +3276,21 @@ impl ClusterRouter {
                     }
                 }
             }
-            (op, plan)
+            Ok((op, plan))
         };
         trace::finish(Stage::ForwardEnqueue, enqueue);
-        // Lock released: durable callers wait for their deliveries here,
+        // Lock released, the delta travelling (or refused): the local
+        // commit is redeemed here on every path — the early returns above
+        // included, so the server counts each request exactly once.
+        let local = redeem();
+        let (op, plan) = enqueued?;
+        let response = local?;
+        // Durable callers wait out what is left of their deliveries,
         // while other policies' mutations enqueue concurrently.
         let quorum_wait = trace::start();
+        let deadline = Instant::now() + ACK_WAIT_CAP;
         for (completion, counts) in waits {
-            let delivered = completion.wait(ACK_WAIT_CAP);
+            let delivered = completion.wait(deadline);
             if counts && delivered {
                 acked += 1;
             }
@@ -3181,7 +3325,7 @@ impl ClusterRouter {
                 }
             }
         }
-        Ok(())
+        Ok(response)
     }
 
     // ------------------------------------------------------------------
@@ -4438,7 +4582,8 @@ mod tests {
             router
                 .engine(ShardId(1))
                 .unwrap()
-                .import_records(&residue)
+                .stage_policy_records(&name, &residue)
+                .wait()
                 .unwrap();
             router
                 .handle(TmsRequest::UpdatePolicy {
@@ -5279,14 +5424,17 @@ mod tests {
     // Follower group-apply: one sync and one verdict per shipped window
     // ------------------------------------------------------------------
 
-    /// A follower's device: write-back (a power cut loses whatever `sync`
-    /// has not flushed) and counting its syncs. `disk` only ever holds
-    /// flushed blobs, so reopening it *is* the crash image.
+    /// A replica's device: write-back (a power cut loses whatever `sync`
+    /// has not flushed), counting its syncs, timestamping its puts, and
+    /// with a `gate` a test locks to hold `sync` shut. `disk` only ever
+    /// holds flushed blobs, so reopening it *is* the crash image.
     #[derive(Clone)]
     struct Device {
         disk: MemStore,
         cache: BufferedStore<MemStore>,
         syncs: Arc<AtomicU64>,
+        puts: Arc<StdMutex<Vec<Instant>>>,
+        gate: Arc<StdMutex<()>>,
     }
 
     impl Device {
@@ -5298,6 +5446,8 @@ mod tests {
                 cache: BufferedStore::new(disk.clone()),
                 disk,
                 syncs: Arc::default(),
+                puts: Arc::default(),
+                gate: Arc::default(),
             }
         }
 
@@ -5316,6 +5466,7 @@ mod tests {
             self.cache.get(name)
         }
         fn put(&self, name: &str, data: Vec<u8>) {
+            self.puts.lock().unwrap().push(Instant::now());
             self.cache.put(name, data)
         }
         fn delete(&self, name: &str) {
@@ -5325,16 +5476,19 @@ mod tests {
             self.cache.list()
         }
         fn sync(&self) -> shielded_fs::Result<()> {
+            let _open = self.gate.lock().unwrap();
             self.syncs.fetch_add(1, Ordering::Relaxed);
             self.cache.sync()
         }
     }
 
-    /// One R=3 group whose two followers' databases sit on [`Device`]s,
-    /// with `policies` policies (`ga-<i>`) and one attested session each.
+    /// One R=3 group whose replicas' databases sit on [`Device`]s, with
+    /// `policies` policies (`ga-<i>`) and one attested session each.
     struct DeviceGroup {
         router: ClusterRouter,
         id: ShardId,
+        /// Backs replica 0, the primary.
+        primary: Device,
         /// `devices[k - 1]` backs follower `k`.
         devices: [Device; 2],
         names: Vec<String>,
@@ -5344,12 +5498,13 @@ mod tests {
     impl DeviceGroup {
         fn new(quorum: usize, policies: usize) -> Self {
             let platform = Platform::new("cl-host", Microcode::PostForeshadow);
+            let primary = Device::new();
             let devices = [Device::new(), Device::new()];
-            let mut set = vec![fresh_shard(&platform, 200)];
-            for (k, device) in devices.iter().enumerate() {
+            let mut set = Vec::new();
+            for (k, device) in std::iter::once(&primary).chain(&devices).enumerate() {
                 let db = Db::create(Box::new(device.clone()), AeadKey::from_bytes(Device::KEY))
                     .expect("create db");
-                let seed = format!("device-follower-{k}");
+                let seed = format!("device-replica-{k}");
                 let engine = Arc::new(Palaemon::new(
                     db,
                     SigningKey::from_seed(seed.as_bytes()),
@@ -5374,6 +5529,7 @@ mod tests {
             DeviceGroup {
                 router,
                 id,
+                primary,
                 devices,
                 names,
                 sessions,
@@ -5396,10 +5552,11 @@ mod tests {
             })
         }
 
-        /// Whether follower `k` would still hold push `seq` of policy `p`
+        /// Whether replica `k` would still hold push `seq` of policy `p`
         /// after a power cut right now.
         fn survives_crash(&self, k: usize, p: usize, seq: u8) -> bool {
-            let image = self.devices[k - 1].crash_image();
+            let device = k.checked_sub(1).map_or(&self.primary, |f| &self.devices[f]);
+            let image = device.crash_image();
             let row = image.get(format!("tag/{}/data", self.names[p]).as_bytes());
             row.is_some_and(|row| row[..32] == Self::tag(p, seq).as_bytes()[..])
         }
@@ -5600,5 +5757,234 @@ mod tests {
                 "{reason}"
             );
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Overlap, don't serialize: transit as an arrival deadline, and the
+    // primary's own commit redeemed behind the forward
+    // ------------------------------------------------------------------
+
+    /// An ack needs the primary's WAL verdict even when both followers
+    /// already hold the delta durably — and the forward does not wait for
+    /// that verdict: with the primary's `sync` held shut the followers'
+    /// crash images gain the write while the client call is still parked.
+    #[test]
+    fn ack_waits_for_the_primary_sync_even_when_followers_are_durable() {
+        let rig = DeviceGroup::new(2, 1);
+        let shut = rig.primary.gate.lock().unwrap();
+        std::thread::scope(|scope| {
+            let push = scope.spawn(|| rig.push(0, 1));
+            wait_for(|| [1, 2].iter().all(|&k| rig.survives_crash(k, 0, 1)));
+            assert!(
+                !push.is_finished(),
+                "acked with the primary's own sync still outstanding"
+            );
+            assert!(!rig.survives_crash(0, 0, 1));
+            drop(shut);
+            push.join().unwrap().unwrap();
+        });
+        assert!(rig.survives_crash(0, 0, 1));
+        rig.assert_converged();
+    }
+
+    /// The primary's sync fails *after* its delta was enqueued: the call
+    /// returns the error un-acked, nobody is demoted, and the group stays
+    /// whole — the next push on the policy chains on and acks, cursors sit
+    /// at the tail and every replica digests equal.
+    #[test]
+    fn failed_primary_sync_after_forward_is_not_acked_and_group_stays_whole() {
+        let rig = DeviceGroup::new(2, 1);
+        let served = |rig: &DeviceGroup| rig.router.stats().shards[0].server;
+        let before = served(&rig);
+        rig.primary.cache.fail_after(0);
+        let err = rig.push(0, 1).unwrap_err();
+        assert!(matches!(err, ClusterError::Engine(_)), "{err:?}");
+        let after = served(&rig);
+        assert_eq!((after.ok, after.failed), (before.ok, before.failed + 1));
+        rig.primary.cache.fail_after(i64::MAX); // the device recovers
+        let status = rig.router.replica_status(rig.id).unwrap();
+        assert_eq!(status.primary, 0);
+        assert!(status.replicas.iter().all(|r| r.in_quorum), "{status:?}");
+        rig.push(0, 2).unwrap();
+        for k in [1, 2] {
+            assert!(rig.survives_crash(k, 0, 2));
+        }
+        let repl = rig.router.stats().shards[0].replication;
+        assert_eq!(repl.snapshot_resyncs, 0, "{repl:?}");
+        rig.assert_converged();
+    }
+
+    /// An early return between stage and redeem — here the seat crashing
+    /// before the forward — still redeems the staged commit, so the
+    /// deposed server's `ok + failed` equals the requests it handled.
+    #[test]
+    fn a_mutation_refused_before_its_forward_is_still_redeemed_and_counted() {
+        let rig = DeviceGroup::new(2, 1);
+        let server = {
+            let topo = rig.router.topology.read();
+            topo.shards[&rig.id].replicas[0].server.clone()
+        };
+        let before = server.stats();
+        let op = rig.router.replica_status(rig.id).unwrap().ops + 1;
+        rig.router.set_fault_plan(FaultPlan::new([PlannedFault {
+            shard: rig.id,
+            op,
+            kind: FaultKind::CrashBeforeForward,
+        }]));
+        assert!(matches!(
+            rig.push(0, 1),
+            Err(ClusterError::ShardUnavailable(_))
+        ));
+        let after = server.stats();
+        assert_eq!(
+            after.ok + after.failed,
+            before.ok + before.failed + 1,
+            "{after:?}"
+        );
+    }
+
+    /// No delta is staged on a follower before its transit has elapsed:
+    /// with a 2 ms wire, the follower WAL put carrying a push lies no
+    /// earlier than 2 ms after the push began (it was enqueued later
+    /// still) and no later than its ack — while windows still group.
+    #[test]
+    fn no_delta_is_staged_before_its_transit_elapses() {
+        const WRITERS: usize = 8;
+        const PUSHES: u8 = 20;
+        const WIRE: Duration = Duration::from_millis(2);
+        let rig = DeviceGroup::new(2, WRITERS);
+        rig.router.set_forward_latency(WIRE);
+        let before = [rig.devices[0].syncs(), rig.devices[1].syncs()];
+        let pipes = [rig.pipe(1), rig.pipe(2)];
+        // Hold both delivery gates until every writer's first delta has
+        // arrived: the first window is then WRITERS deltas wide.
+        let gates = pipes.each_ref().map(|p| p.delivery.lock().unwrap());
+        let spans: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let rig = &rig;
+                    scope.spawn(move || {
+                        (0..PUSHES)
+                            .map(|seq| {
+                                let began = Instant::now();
+                                rig.push(w, seq).unwrap();
+                                (began, Instant::now())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            wait_for(|| pipes.iter().all(|p| p.depth() == WRITERS));
+            let queued = Instant::now();
+            wait_for(|| queued.elapsed() >= WIRE);
+            drop(gates);
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+
+        let mutations = WRITERS as u64 * u64::from(PUSHES);
+        for (k, (device, before)) in rig.devices.iter().zip(before).enumerate() {
+            let puts = device.puts.lock().unwrap();
+            for (began, acked) in &spans {
+                assert!(
+                    puts.iter().any(|at| *at >= *began + WIRE && at <= acked),
+                    "follower {} staged a delta before its transit elapsed",
+                    k + 1
+                );
+            }
+            let syncs = device.syncs() - before;
+            assert!(syncs < mutations, "{syncs} syncs for {mutations} mutations");
+        }
+        rig.assert_converged();
+    }
+
+    /// A fence drain delivers what is still on the wire: quarantining the
+    /// primary with windowed, enqueue-acked deltas queued and not yet
+    /// arrived loses none of them, honours their transit, and leaves every
+    /// channel empty.
+    #[test]
+    fn fence_drain_delivers_deltas_still_in_transit() {
+        const POLICIES: usize = 4;
+        const ROUNDS: u8 = 4;
+        const WIRE: Duration = Duration::from_millis(200);
+        let rig = DeviceGroup::new(2, POLICIES);
+        rig.router.set_ack_mode(AckMode::Windowed);
+        rig.router.set_flush_window(Duration::from_millis(1));
+        rig.router.set_forward_latency(WIRE);
+        let first = Instant::now();
+        let mut last = first;
+        for seq in 1..=ROUNDS {
+            for p in 0..POLICIES {
+                last = Instant::now();
+                rig.push(p, seq).unwrap();
+            }
+        }
+        assert!(
+            first.elapsed() < WIRE,
+            "the writes must still be in transit"
+        );
+        let outcome = rig.router.quarantine(rig.id, "pulled mid-transit");
+        assert!(
+            last.elapsed() >= WIRE,
+            "the fence staged a delta before its transit elapsed"
+        );
+        assert!(matches!(
+            outcome,
+            Some(QuarantineOutcome::FailedOver { .. })
+        ));
+        for k in 0..3 {
+            assert_eq!(rig.pipe(k).depth(), 0, "channel {k} not drained");
+        }
+        for p in 0..POLICIES {
+            let read = rig.router.handle(TmsRequest::ReadTag {
+                session: rig.sessions[p],
+                volume: "data".into(),
+            });
+            match read.unwrap() {
+                TmsResponse::Tag(Some(rec)) => {
+                    assert_eq!(rec.tag, DeviceGroup::tag(p, ROUNDS), "acked write lost")
+                }
+                other => panic!("expected the acked tag, got {other:?}"),
+            }
+        }
+    }
+
+    /// Windowed deltas are sent when their flush window closes, not at
+    /// enqueue, so a wire longer than the window does not split the runs:
+    /// each wire transfer still carries more than one mutation.
+    #[test]
+    fn windowed_runs_still_coalesce_under_a_wire() {
+        const WRITERS: usize = 4;
+        const PUSHES: u8 = 50;
+        let rig = DeviceGroup::new(2, WRITERS);
+        rig.router.set_ack_mode(AckMode::Windowed);
+        rig.router.set_flush_window(Duration::from_millis(1));
+        rig.router.set_forward_latency(Duration::from_millis(5));
+        let transfers = |r: &ReplicationStats| {
+            r.flushes_window_full + r.flushes_timer + r.flushes_fence + r.flushes_durable
+        };
+        let before = rig.router.stats().shards[0].replication;
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let rig = &rig;
+                scope.spawn(move || {
+                    for seq in 0..PUSHES {
+                        rig.push(w, seq).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(rig.router.flush_replication(rig.id));
+        let after = rig.router.stats().shards[0].replication;
+        let shipped = after.mutations_shipped - before.mutations_shipped;
+        let transfers = transfers(&after) - transfers(&before);
+        assert_eq!(shipped, 2 * WRITERS as u64 * u64::from(PUSHES));
+        assert!(
+            shipped > transfers,
+            "{shipped} mutations over {transfers} wire transfers"
+        );
+        rig.assert_converged();
     }
 }

@@ -22,6 +22,17 @@
 //! ceiling — while the crash-safety ordering of the Fig. 6 protocol is
 //! preserved: no request is acknowledged before both its WAL batch and a
 //! covering increment are durable.
+//!
+//! ## Stage, then redeem
+//! [`TmsServer::handle`] is [`TmsServer::stage`] followed by
+//! [`Staged::redeem`]: `stage` runs the engine operation up to the point
+//! where a mutation's commit sits in the WAL's group-commit window (applied
+//! and visible, not yet synced), `redeem` waits for that window's verdict,
+//! joins the counter commit and counts the outcome. A caller with
+//! independent work to do — a replica group's primary forwarding the delta
+//! to its followers — does it between the two, so the WAL sync and the wire
+//! overlap instead of running back to back. Nothing is acknowledged before
+//! `redeem` returns `Ok`, so what an acknowledgement means is unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,6 +41,7 @@ use palaemon_telemetry::{trace, Collect, MetricSink, Stage};
 
 use palaemon_crypto::sig::VerifyingKey;
 use palaemon_crypto::Digest;
+use palaemon_db::CommitTicket;
 use shielded_fs::fs::TagEvent;
 use tee_sim::quote::Quote;
 
@@ -274,6 +286,47 @@ impl std::fmt::Debug for TmsServer {
     }
 }
 
+/// A request between [`TmsServer::stage`] and [`Staged::redeem`]: the
+/// engine has answered it, and — for a mutation — its commit sits in the
+/// WAL's group-commit window, applied and visible but not yet durable.
+#[derive(Debug)]
+#[must_use = "a staged request is neither durable nor counted until redeem()"]
+pub struct Staged<'a> {
+    server: &'a TmsServer,
+    response: TmsResponse,
+    /// The mutation's commit window (`None` for non-mutations).
+    ticket: Option<CommitTicket>,
+}
+
+impl Staged<'_> {
+    /// The second half of [`TmsServer::handle`]: waits for the staged
+    /// commit's durability verdict, then — in strict commit mode — covers
+    /// it with a (batched) Fig. 6 counter increment, and counts the request
+    /// as ok or failed. Non-mutations have nothing to wait for.
+    ///
+    /// # Errors
+    /// The commit window's storage failure, or the counter commit's.
+    pub fn redeem(self) -> Result<TmsResponse> {
+        let server = self.server;
+        let committed = self.ticket.map_or(Ok(()), |ticket| {
+            let sync = trace::start();
+            let durable = ticket.wait();
+            trace::finish(Stage::EngineApply, sync);
+            durable?;
+            if let Some(counter) = &server.commit_counter {
+                // State is durable; cover it with a (batched) Fig. 6
+                // counter increment before acknowledging.
+                let commit = trace::start();
+                let covered = counter.commit();
+                trace::finish(Stage::CounterCommit, commit);
+                covered?;
+            }
+            Ok(())
+        });
+        server.count(committed.map(|()| self.response))
+    }
+}
+
 impl TmsServer {
     /// Serves `engine` without a rollback-counter coupling.
     pub fn new(engine: Arc<Palaemon>) -> Self {
@@ -315,24 +368,35 @@ impl TmsServer {
     /// # Errors
     /// Whatever the dispatched engine operation returns.
     pub fn handle(&self, request: TmsRequest) -> Result<TmsResponse> {
-        let mutation = request.is_mutation();
+        self.stage(request)?.redeem()
+    }
+
+    /// The first half of [`TmsServer::handle`]: runs the engine operation
+    /// and returns its answer with the mutation's commit *staged* — in the
+    /// WAL's group-commit window, visible, not yet durable. The request is
+    /// neither acknowledged nor counted until [`Staged::redeem`].
+    ///
+    /// # Errors
+    /// Whatever the dispatched engine operation returns (counted as a
+    /// failed request; there is nothing to redeem).
+    pub fn stage(&self, request: TmsRequest) -> Result<Staged<'_>> {
         let apply = trace::start();
-        let mut result = match &self.fault_hook {
+        let staged = match &self.fault_hook {
             Some(hook) => hook(&request).and_then(|()| self.dispatch(request)),
             None => self.dispatch(request),
         };
         trace::finish(Stage::EngineApply, apply);
-        if result.is_ok() && mutation {
-            if let Some(counter) = &self.commit_counter {
-                // State is durable; cover it with a (batched) Fig. 6
-                // counter increment before acknowledging.
-                let commit = trace::start();
-                if let Err(e) = counter.commit() {
-                    result = Err(e);
-                }
-                trace::finish(Stage::CounterCommit, commit);
-            }
+        match staged {
+            Ok((response, ticket)) => Ok(Staged {
+                server: self,
+                response,
+                ticket,
+            }),
+            Err(e) => self.count(Err(e)),
         }
+    }
+
+    fn count<T>(&self, result: Result<T>) -> Result<T> {
         let outcome = if result.is_ok() {
             &self.counters.ok
         } else {
@@ -342,7 +406,11 @@ impl TmsServer {
         result
     }
 
-    fn dispatch(&self, request: TmsRequest) -> Result<TmsResponse> {
+    /// Runs the engine operation; a mutation comes back with the ticket of
+    /// the commit window it staged into.
+    fn dispatch(&self, request: TmsRequest) -> Result<(TmsResponse, Option<CommitTicket>)> {
+        let done = |ticket| (TmsResponse::Done, Some(ticket));
+        let read = |response| (response, None);
         match request {
             TmsRequest::CreatePolicy {
                 owner,
@@ -351,8 +419,8 @@ impl TmsServer {
                 votes,
             } => self
                 .engine
-                .create_policy(&owner, *policy, approval.as_ref(), &votes)
-                .map(|()| TmsResponse::Done),
+                .stage_create_policy(&owner, *policy, approval.as_ref(), &votes)
+                .map(done),
             TmsRequest::ReadPolicy {
                 name,
                 client,
@@ -361,7 +429,7 @@ impl TmsServer {
             } => self
                 .engine
                 .read_policy(&name, &client, approval.as_ref(), &votes)
-                .map(|p| TmsResponse::Policy(Box::new(p))),
+                .map(|p| read(TmsResponse::Policy(Box::new(p)))),
             TmsRequest::UpdatePolicy {
                 client,
                 policy,
@@ -369,8 +437,8 @@ impl TmsServer {
                 votes,
             } => self
                 .engine
-                .update_policy(&client, *policy, approval.as_ref(), &votes)
-                .map(|()| TmsResponse::Done),
+                .stage_update_policy(&client, *policy, approval.as_ref(), &votes)
+                .map(done),
             TmsRequest::DeletePolicy {
                 name,
                 client,
@@ -378,17 +446,17 @@ impl TmsServer {
                 votes,
             } => self
                 .engine
-                .delete_policy(&name, &client, approval.as_ref(), &votes)
-                .map(|()| TmsResponse::Done),
+                .stage_delete_policy(&name, &client, approval.as_ref(), &votes)
+                .map(done),
             TmsRequest::BeginApproval {
                 policy_name,
                 action,
                 policy_digest,
-            } => Ok(TmsResponse::Approval(self.engine.begin_approval(
+            } => Ok(read(TmsResponse::Approval(self.engine.begin_approval(
                 &policy_name,
                 action,
                 policy_digest,
-            ))),
+            )))),
             TmsRequest::AttestService {
                 quote,
                 tls_key_binding,
@@ -397,7 +465,7 @@ impl TmsServer {
             } => self
                 .engine
                 .attest_service(&quote, &tls_key_binding, &policy_name, &service_name)
-                .map(|c| TmsResponse::Config(Box::new(c))),
+                .map(|c| read(TmsResponse::Config(Box::new(c)))),
             TmsRequest::PushTag {
                 session,
                 volume,
@@ -405,21 +473,21 @@ impl TmsServer {
                 event,
             } => self
                 .engine
-                .push_tag(session, &volume, tag, event)
-                .map(|()| TmsResponse::Done),
-            TmsRequest::ReadTag { session, volume } => {
-                self.engine.read_tag(session, &volume).map(TmsResponse::Tag)
-            }
-            TmsRequest::ResetTag { policy, volume } => self
+                .stage_push_tag(session, &volume, tag, event)
+                .map(done),
+            TmsRequest::ReadTag { session, volume } => self
                 .engine
-                .reset_tag(&policy, &volume)
-                .map(|()| TmsResponse::Done),
+                .read_tag(session, &volume)
+                .map(|t| read(TmsResponse::Tag(t))),
+            TmsRequest::ResetTag { policy, volume } => {
+                Ok(done(self.engine.stage_reset_tag(&policy, &volume)))
+            }
             TmsRequest::CloseSession { session } => {
                 self.engine.close_session(session);
-                Ok(TmsResponse::Done)
+                Ok(read(TmsResponse::Done))
             }
-            TmsRequest::SessionCount => Ok(TmsResponse::Count(self.engine.session_count())),
-            TmsRequest::PolicyCount => Ok(TmsResponse::Count(self.engine.policy_count())),
+            TmsRequest::SessionCount => Ok(read(TmsResponse::Count(self.engine.session_count()))),
+            TmsRequest::PolicyCount => Ok(read(TmsResponse::Count(self.engine.policy_count()))),
         }
     }
 

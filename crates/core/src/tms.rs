@@ -570,6 +570,28 @@ impl Palaemon {
         request: Option<&ApprovalRequest>,
         votes: &[Vote],
     ) -> Result<()> {
+        Ok(self
+            .stage_create_policy(owner, policy, request, votes)?
+            .wait()?)
+    }
+
+    /// [`Palaemon::create_policy`] up to, not including, the durability
+    /// wait: checks, writes and `Db::commit_stage` under the db write
+    /// guard. The policy is visible at once but **durable only once the
+    /// returned ticket is redeemed** — the split every `stage_*` mutation
+    /// below shares, so a caller can overlap other work (a replication
+    /// forward) with the WAL sync.
+    ///
+    /// # Errors
+    /// As for [`Palaemon::create_policy`], minus the commit failures the
+    /// ticket reports.
+    pub fn stage_create_policy(
+        &self,
+        owner: &VerifyingKey,
+        policy: Policy,
+        request: Option<&ApprovalRequest>,
+        votes: &[Vote],
+    ) -> Result<CommitTicket> {
         policy.validate()?;
         // The write lock is held across the existence check and the insert
         // so two racing creates of the same name cannot both succeed.
@@ -642,9 +664,10 @@ impl Palaemon {
         );
         let ticket = db.commit_stage();
         self.capture_stash(&mut db, &policy.name);
+        // Release the write guard first, so the locals declared under it
+        // are not torn down inside the critical section (every `stage_*`).
         drop(db);
-        ticket.wait()?;
-        Ok(())
+        Ok(ticket)
     }
 
     /// Reads a policy. Requires the owner's key and, when a board exists,
@@ -688,6 +711,20 @@ impl Palaemon {
         request: Option<&ApprovalRequest>,
         votes: &[Vote],
     ) -> Result<()> {
+        Ok(self
+            .stage_update_policy(client, new_policy, request, votes)?
+            .wait()?)
+    }
+
+    /// [`Palaemon::update_policy`] without the durability wait (see
+    /// [`Palaemon::stage_create_policy`]); same errors, minus the commit's.
+    pub fn stage_update_policy(
+        &self,
+        client: &VerifyingKey,
+        new_policy: Policy,
+        request: Option<&ApprovalRequest>,
+        votes: &[Vote],
+    ) -> Result<CommitTicket> {
         new_policy.validate()?;
         let name = new_policy.name.clone();
         let mut db = self.db.write();
@@ -801,8 +838,7 @@ impl Palaemon {
         let ticket = db.commit_stage();
         self.capture_stash(&mut db, &name);
         drop(db);
-        ticket.wait()?;
-        Ok(())
+        Ok(ticket)
     }
 
     /// Deletes a policy and all of its material.
@@ -817,6 +853,20 @@ impl Palaemon {
         request: Option<&ApprovalRequest>,
         votes: &[Vote],
     ) -> Result<()> {
+        Ok(self
+            .stage_delete_policy(name, client, request, votes)?
+            .wait()?)
+    }
+
+    /// [`Palaemon::delete_policy`] without the durability wait (see
+    /// [`Palaemon::stage_create_policy`]); same errors, minus the commit's.
+    pub fn stage_delete_policy(
+        &self,
+        name: &str,
+        client: &VerifyingKey,
+        request: Option<&ApprovalRequest>,
+        votes: &[Vote],
+    ) -> Result<CommitTicket> {
         let mut db = self.db.write();
         let policy = {
             let view = db.view();
@@ -856,8 +906,7 @@ impl Palaemon {
         let ticket = db.commit_stage();
         self.capture_stash(&mut db, name);
         drop(db);
-        ticket.wait()?;
-        Ok(())
+        Ok(ticket)
     }
 
     /// Number of stored policies.
@@ -1051,6 +1100,18 @@ impl Palaemon {
         tag: Digest,
         event: TagEvent,
     ) -> Result<()> {
+        Ok(self.stage_push_tag(session, volume, tag, event)?.wait()?)
+    }
+
+    /// [`Palaemon::push_tag`] without the durability wait (see
+    /// [`Palaemon::stage_create_policy`]); same errors, minus the commit's.
+    pub fn stage_push_tag(
+        &self,
+        session: SessionId,
+        volume: &str,
+        tag: Digest,
+        event: TagEvent,
+    ) -> Result<CommitTicket> {
         // The session table is a leaf lock: resolve and release before
         // taking the db write lock.
         let policy = {
@@ -1071,8 +1132,7 @@ impl Palaemon {
         let ticket = db.commit_stage();
         self.capture_stash(&mut db, &policy);
         drop(db);
-        ticket.wait()?;
-        Ok(())
+        Ok(ticket)
     }
 
     /// Reads the expected tag for a session's volume (fast path, no disk —
@@ -1100,14 +1160,19 @@ impl Palaemon {
     /// # Errors
     /// Database errors.
     pub fn reset_tag(&self, policy: &str, volume: &str) -> Result<()> {
+        Ok(self.stage_reset_tag(policy, volume).wait()?)
+    }
+
+    /// [`Palaemon::reset_tag`] without the durability wait (see
+    /// [`Palaemon::stage_create_policy`]).
+    pub fn stage_reset_tag(&self, policy: &str, volume: &str) -> CommitTicket {
         let mut db = self.db.write();
         self.capture_begin(&mut db);
         db.delete(format!("tag/{policy}/{volume}").as_bytes());
         let ticket = db.commit_stage();
         self.capture_stash(&mut db, policy);
         drop(db);
-        ticket.wait()?;
-        Ok(())
+        ticket
     }
 
     /// Ends a session (the application exited).
@@ -1139,25 +1204,6 @@ impl Palaemon {
     /// must treat that as "nothing to move", not an error.
     pub fn export_policy_records(&self, name: &str) -> PolicyRecords {
         export_records_from(&self.db_view(), name)
-    }
-
-    /// Imports records produced by [`Self::export_policy_records`] on
-    /// another instance and commits them as one durable batch.
-    ///
-    /// # Errors
-    /// Database commit failures.
-    pub fn import_records(&self, records: &[(Bytes, Bytes)]) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let mut db = self.db.write();
-        for (key, value) in records {
-            db.put(key.clone(), value.clone());
-        }
-        let ticket = db.commit_stage();
-        drop(db);
-        ticket.wait()?;
-        Ok(())
     }
 
     /// Removes every record belonging to policy `name` without the CRUD
@@ -2195,7 +2241,7 @@ services:
         assert_eq!(source.sessions_for_policy("mig"), vec![config.session]);
 
         let records = source.export_policy_records("mig");
-        target.import_records(&records).unwrap();
+        target.stage_policy_records("mig", &records).wait().unwrap();
         source.purge_policy_records("mig").unwrap();
 
         assert_eq!(source.policy_names(), vec!["mig2".to_string()]);

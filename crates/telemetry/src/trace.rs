@@ -22,14 +22,19 @@ pub enum Stage {
     /// Front-door submit → worker pop: how long the request queued.
     QueueWait = 0,
     /// Engine dispatch: policy/session/attestation work inside
-    /// `Palaemon`.
+    /// `Palaemon`, **plus** — for a mutation — the wait for its WAL commit
+    /// window's sync. The two halves (`TmsServer::stage`, `Staged::redeem`)
+    /// accumulate into this one sample; on a replicated mutation the
+    /// forward enqueue runs between them.
     EngineApply = 1,
     /// The Fig. 6 batched rollback-counter commit covering a mutation.
     CounterCommit = 2,
     /// Delta extraction + enqueue onto the follower forward channels
     /// (the replication path's `forward_lock` critical section).
     ForwardEnqueue = 3,
-    /// Waiting for the write quorum's durable acks.
+    /// Waiting for the write quorum's durable acks — the *residual* wait
+    /// once the primary's own commit has been redeemed (the followers'
+    /// wire and syncs overlap that redeem), not their whole round trip.
     QuorumAck = 4,
 }
 

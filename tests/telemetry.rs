@@ -297,6 +297,7 @@ fn replication_accounting_is_conserved() {
     let id = ShardId(0);
 
     let before = router.stats().shards[0].replication;
+    let served_before = router.stats().shards[0].server;
     const POLICIES: usize = 3;
     const UPDATES: u64 = 6;
     for p in 0..POLICIES {
@@ -335,6 +336,16 @@ fn replication_accounting_is_conserved() {
         batches < mutations * followers,
         "the window must actually coalesce ({batches} batches for {mutations} mutations x2)"
     );
+
+    // The primary's server stages every mutation and redeems it behind the
+    // forward: each request handled is counted exactly once, ok or failed.
+    let served = router.stats().shards[0].server;
+    assert_eq!(
+        (served.ok + served.failed) - (served_before.ok + served_before.failed),
+        mutations,
+        "ok + failed must equal requests handled: {served:?}"
+    );
+    assert_eq!(served.failed, served_before.failed);
 }
 
 /// Conservation on the storage plane: every group commit lands in exactly
