@@ -10,9 +10,10 @@
 //!    sync on the primary plus, per follower, the delta apply — the price
 //!    of surviving a primary loss with zero acked writes dropped.
 //! 2. **Bytes per mutation** — what the forward path ships per `PushTag`
-//!    on a 50-record policy: incremental mode (just the changed tag row,
-//!    counter-token chained) vs snapshot mode (the PR 4 full record set).
-//!    Asserts incremental ≤ 1/5 of snapshot.
+//!    on a 50-record policy (just the changed tag row, counter-token
+//!    chained) vs what the same push would cost as a full snapshot (the
+//!    resync form, built directly from the primary's records). Asserts
+//!    incremental ≤ 1/5 of snapshot.
 //! 3. **Follower-read scaling** — `ReadPolicy` throughput at R=3 under a
 //!    modelled per-replica service capacity (each replica serves one
 //!    request at a time at a fixed cost): `ReadPreference::Primary` pins
@@ -28,12 +29,9 @@
 //!    before, across and after the failover (zero misses), and the acked
 //!    write floor must survive.
 //! 6. **Ack latency** — p99 mutation ack latency at R=3 with a modelled
-//!    5 ms follower wire: `AckMode::Durable` (ack waits for every
-//!    forward) vs `AckMode::Windowed` (ack at local commit + enqueue;
-//!    per-follower sender threads ship one coalesced batch per flush
-//!    window). Asserts the pipeline at least halves p99, with zero
-//!    demotions and full convergence after a flush. Key figures land in
-//!    `BENCH_replication.json` at the workspace root.
+//!    5 ms follower wire (the ack awaits every in-quorum follower's
+//!    durable verdict). Asserts zero demotions and full convergence. Key
+//!    figures land in `BENCH_replication.json` at the workspace root.
 //! 7. **Self-healing MTTR** — quarantine the primary of an R=3 group
 //!    watched by the background [`ClusterMonitor`] and measure the
 //!    wall-clock until the group is whole again: new primary seated by
@@ -49,8 +47,8 @@ use std::time::{Duration, Instant};
 
 use palaemon_bench::measure::percentile;
 use palaemon_cluster::{
-    strict_shard, AckMode, ClusterMonitor, ClusterRouter, MonitorConfig, QuarantineOutcome,
-    ReadPreference, ReplicationMode, ShardId,
+    strict_shard, ClusterMonitor, ClusterRouter, MonitorConfig, QuarantineOutcome, ReadPreference,
+    ShardId,
 };
 use palaemon_core::counterfile::ShieldedCounter;
 use palaemon_core::policy::Policy;
@@ -211,8 +209,9 @@ fn build_fast_group(replicas: u32, platform: &Platform, cost: Option<Duration>) 
     router
 }
 
-/// Forwarded bytes per `PushTag` mutation on a ~50-record policy, R=3:
-/// incremental mode vs snapshot mode. Returns (inc, snap) bytes/mutation.
+/// Forwarded bytes per `PushTag` mutation on a ~50-record policy, R=3: the
+/// incremental deltas measured on the forward path vs the same deliveries
+/// as full snapshots. Returns (inc, snap) bytes/mutation.
 fn run_bytes_per_mutation(pushes: usize, platform: &Platform) -> (f64, f64) {
     let router = build_fast_group(3, platform, None);
     let owner = SigningKey::from_seed(b"ro-owner").verifying_key();
@@ -235,28 +234,26 @@ fn run_bytes_per_mutation(pushes: usize, platform: &Platform) -> (f64, f64) {
     );
     let session = attest(&router, platform, "bw_tenant");
 
-    let mut per_mode = Vec::new();
-    for mode in [ReplicationMode::Incremental, ReplicationMode::Snapshot] {
-        router.set_replication_mode(mode);
-        let before = router.stats().shards[0].replication;
-        for i in 0..pushes {
-            let mut tag = [0u8; 32];
-            tag[..8].copy_from_slice(&(i as u64).to_be_bytes());
-            router
-                .handle(TmsRequest::PushTag {
-                    session,
-                    volume: "data".into(),
-                    tag: Digest::from_bytes(tag),
-                    event: TagEvent::Sync,
-                })
-                .expect("push");
-        }
-        let after = router.stats().shards[0].replication;
-        let bytes = (after.incremental_bytes + after.snapshot_bytes)
-            - (before.incremental_bytes + before.snapshot_bytes);
-        per_mode.push(bytes as f64 / pushes as f64);
+    let before = router.stats().shards[0].replication;
+    for i in 0..pushes {
+        let mut tag = [0u8; 32];
+        tag[..8].copy_from_slice(&(i as u64).to_be_bytes());
+        router
+            .handle(TmsRequest::PushTag {
+                session,
+                volume: "data".into(),
+                tag: Digest::from_bytes(tag),
+                event: TagEvent::Sync,
+            })
+            .expect("push");
     }
-    (per_mode[0], per_mode[1])
+    let after = router.stats().shards[0].replication;
+    assert_eq!(after.snapshot_bytes, before.snapshot_bytes, "clean run");
+    let inc = (after.incremental_bytes - before.incremental_bytes) as f64 / pushes as f64;
+    // The comparator: each push delivered to both followers as a snapshot.
+    let primary = router.engine(ShardId(0)).expect("shard");
+    let snap = 2.0 * primary.export_policy_snapshot("bw_tenant", 1).wire_size() as f64;
+    (inc, snap)
 }
 
 /// `ReadPolicy` throughput at R=3 under the modelled per-replica service
@@ -527,22 +524,17 @@ fn run_failover_window(window_ms: u64, platform: &Platform) -> (f64, u64, u64) {
     )
 }
 
-/// Per-mutation ack latency at R=3 with a modelled follower wire: the
-/// synchronous durable path pays the per-follower wire round before
-/// acknowledging, while the windowed pipeline acks at local commit +
-/// enqueue and ships one coalesced batch per flush window in the
-/// background. Plain in-memory stores (like the bytes/read sections):
-/// the term under test is the wire on the ack path, not WAL sync cost.
-/// Returns (durable_p99_us, windowed_p99_us) plus the pipeline's
-/// (batches, mutations) shipped during the windowed phase.
-fn run_ack_latency(ops_per_client: usize, platform: &Platform) -> (f64, f64, u64, u64) {
-    /// Modelled one-way wire latency per shipped batch — a LAN round to a
-    /// follower enclave. Dominates every other modelled cost on purpose:
-    /// it is exactly the term the pipeline moves off the ack path.
+/// Per-mutation ack latency at R=3 with a modelled follower wire: an ack
+/// awaits every in-quorum follower's durable verdict, so it pays the wire
+/// once (transits overlap each other and the syncs). Plain in-memory
+/// stores (like the bytes/read sections): the term under test is the wire
+/// on the ack path, not WAL sync cost. Returns the p99 in microseconds.
+fn run_ack_latency(ops_per_client: usize, platform: &Platform) -> f64 {
+    /// Modelled one-way wire latency per delta — a LAN round to a
+    /// follower enclave. Dominates every other modelled cost on purpose.
     const WIRE_LATENCY: Duration = Duration::from_millis(5);
     let router = Arc::new(build_fast_group(3, platform, None));
     router.set_forward_latency(WIRE_LATENCY);
-    router.set_flush_window(Duration::from_millis(1));
     let owner = SigningKey::from_seed(b"ro-owner").verifying_key();
     // One policy per client: contention stays on the replication path, not
     // on a single policy's engine locks.
@@ -559,54 +551,33 @@ fn run_ack_latency(ops_per_client: usize, platform: &Platform) -> (f64, f64, u64
             .expect("create");
     }
 
-    let mut p99s = Vec::new();
-    let mut shipped = (0u64, 0u64);
-    for mode in [AckMode::Durable, AckMode::Windowed] {
-        router.set_ack_mode(mode);
-        let before = router.stats().shards[0].replication;
-        let all = Mutex::new(Vec::with_capacity(CLIENTS * ops_per_client));
-        std::thread::scope(|scope| {
-            for (c, policy) in policies.iter().enumerate() {
-                let router = Arc::clone(&router);
-                let all = &all;
-                scope.spawn(move || {
-                    let mut mine = Vec::with_capacity(ops_per_client);
-                    for _ in 0..ops_per_client {
-                        let start = Instant::now();
-                        router
-                            .handle(TmsRequest::UpdatePolicy {
-                                client: owner,
-                                policy: Box::new(policy.clone()),
-                                approval: None,
-                                votes: Vec::new(),
-                            })
-                            .unwrap_or_else(|e| panic!("update on client {c}: {e}"));
-                        mine.push(start.elapsed().as_micros() as u64);
-                    }
-                    all.lock().unwrap().extend(mine);
-                });
-            }
-        });
-        // Drain the windowed queues before switching modes / finishing, so
-        // the two phases don't bleed into each other and the convergence
-        // check below covers everything acked.
-        assert!(
-            router.flush_replication(ShardId(0)),
-            "flush must reach the group"
-        );
-        let latencies = all.into_inner().unwrap();
-        p99s.push(percentile(&latencies, 0.99) as f64);
-        if mode == AckMode::Windowed {
-            let after = router.stats().shards[0].replication;
-            shipped = (
-                after.batches_shipped - before.batches_shipped,
-                after.mutations_shipped - before.mutations_shipped,
-            );
+    let all = Mutex::new(Vec::with_capacity(CLIENTS * ops_per_client));
+    std::thread::scope(|scope| {
+        for (c, policy) in policies.iter().enumerate() {
+            let router = Arc::clone(&router);
+            let all = &all;
+            scope.spawn(move || {
+                let mut mine = Vec::with_capacity(ops_per_client);
+                for _ in 0..ops_per_client {
+                    let start = Instant::now();
+                    router
+                        .handle(TmsRequest::UpdatePolicy {
+                            client: owner,
+                            policy: Box::new(policy.clone()),
+                            approval: None,
+                            votes: Vec::new(),
+                        })
+                        .unwrap_or_else(|e| panic!("update on client {c}: {e}"));
+                    mine.push(start.elapsed().as_micros() as u64);
+                }
+                all.lock().unwrap().extend(mine);
+            });
         }
-    }
+    });
+    let p99 = percentile(&all.into_inner().unwrap(), 0.99) as f64;
 
-    // Pipelining must not cost correctness: nobody demoted, every queue
-    // drained, every follower at the group watermark.
+    // Nobody demoted, every queue empty, every follower at the group
+    // watermark — with nothing left for a flush to do.
     let status = router.replica_status(ShardId(0)).expect("status");
     assert!(
         status.replicas.iter().all(|r| r.in_quorum),
@@ -616,15 +587,15 @@ fn run_ack_latency(ops_per_client: usize, platform: &Platform) -> (f64, f64, u64
     assert_eq!(
         shard.queue_depths.iter().sum::<usize>(),
         0,
-        "flushed queues must be empty: {:?}",
+        "an acked run leaves nothing queued: {:?}",
         shard.queue_depths
     );
     let top = status.replicas.iter().map(|r| r.applied).max().unwrap();
     assert!(
         status.replicas.iter().all(|r| r.applied == top),
-        "after the flush every replica must sit at the watermark"
+        "once acked every replica must sit at the watermark"
     );
-    (p99s[0], p99s[1], shipped.0, shipped.1)
+    p99
 }
 
 /// Self-healing MTTR at R=3: pull the primary of a monitored group and
@@ -732,7 +703,7 @@ fn main() {
     let ratio = snap / inc.max(1.0);
     println!("\n  bytes/PushTag on a 50-record policy, R=3 (2 follower deliveries):");
     println!("    incremental : {inc:>8.0} B  (the changed tag row, token-chained)");
-    println!("    snapshot    : {snap:>8.0} B  (full record set, PR 4 wire format)");
+    println!("    snapshot    : {snap:>8.0} B  (full record set, the resync form)");
     println!("    => incremental ships {ratio:.1}x fewer bytes per mutation");
     assert!(
         inc * 5.0 <= snap,
@@ -787,25 +758,9 @@ fn main() {
     println!("  => quarantining the primary loses no reads: the arc stays online");
 
     let latency_ops = if quick { 40 } else { 150 };
-    let (durable_p99, windowed_p99, batches, mutations) = run_ack_latency(latency_ops, &platform);
-    let speedup = durable_p99 / windowed_p99.max(1.0);
-    let per_batch = mutations as f64 / (batches as f64).max(1.0);
-    println!("\n  ack latency at R=3 (modelled 5 ms follower wire, 1 ms flush window):");
-    println!("    AckMode::Durable  : p99 {durable_p99:>7.0} us (ack waits for every forward)");
-    println!(
-        "    AckMode::Windowed : p99 {windowed_p99:>7.0} us \
-         (ack at local commit; {batches} batches x {per_batch:.1} mutations/batch behind)"
-    );
-    println!("    => pipelining cuts p99 ack latency {speedup:.1}x with zero acked-write loss");
-    assert!(
-        windowed_p99 * 2.0 <= durable_p99,
-        "windowed pipelining must at least halve p99 ack latency \
-         ({windowed_p99:.0} us vs {durable_p99:.0} us)"
-    );
-    assert!(
-        per_batch > 1.0,
-        "the flush window must coalesce mutations ({batches} batches / {mutations} mutations)"
-    );
+    let ack_p99 = run_ack_latency(latency_ops, &platform);
+    println!("\n  ack latency at R=3 (modelled 5 ms follower wire):");
+    println!("    p99 {ack_p99:>7.0} us (ack awaits every in-quorum follower's durable verdict)");
 
     let (mttr_ms, healed, ticks) = run_selfheal_mttr(&platform);
     println!("\n  self-healing MTTR at R=3 (5 ms monitor cadence, probation 1 tick):");
@@ -826,9 +781,7 @@ fn main() {
          \"reads_per_sec\": {{ \"primary\": {primary_rps:.0}, \"quorum\": {quorum_rps:.0} }},\n  \
          \"attests_per_sec\": {{ \"r1\": {r1_aps:.0}, \"r3\": {r3_aps:.0} }},\n  \
          \"failover_reads_per_sec\": {rps:.0},\n  \
-         \"ack_p99_us\": {{ \"durable\": {durable_p99:.0}, \"windowed\": {windowed_p99:.0} }},\n  \
-         \"pipeline\": {{ \"batches\": {batches}, \"mutations\": {mutations}, \
-         \"mutations_per_batch\": {per_batch:.2} }}\n}}\n",
+         \"ack_p99_us\": {{ \"durable\": {ack_p99:.0} }}\n}}\n",
         rates[0], rates[1], rates[2],
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replication.json");

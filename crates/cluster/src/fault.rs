@@ -10,7 +10,7 @@
 //! operation, and is recorded so a test can assert both the firing and its
 //! consequences.
 //!
-//! The four fault kinds cover the interesting corners of the replication
+//! The eight fault kinds cover the interesting corners of the replication
 //! protocol (see `router` for the semantics each one exercises):
 //!
 //! * [`FaultKind::CrashBeforeForward`] — the primary dies after applying a
@@ -31,14 +31,16 @@
 //!   watermark is reset to an older value (the Fig. 6 rollback signature):
 //!   the freshness election must never seat it.
 //! * [`FaultKind::StallForwardChannel`] — one follower's background
-//!   forward channel wedges: deltas enqueue (and, in windowed mode, ack)
-//!   but nothing ships until a fence drain or reinstate repairs the path.
-//!   The failover fence *ignores* the stall, which is exactly how an
-//!   enqueue-acked write survives a primary crash behind a dead pipe.
-//! * [`FaultKind::DropBatch`] — the next batch shipped on one follower's
-//!   channel vanishes on the wire, silently (no demotion): the window-wide
-//!   chain gap must surface at the follower's next delivery as a snapshot
-//!   resync — the batched analogue of [`FaultKind::LoseIncremental`].
+//!   forward channel wedges: deltas enqueue and their mutations park on
+//!   the follower's verdict, but nothing is delivered until a fence drain
+//!   goes through the stall or a reinstate repairs the path. The failover
+//!   fence *ignores* the stall, which is exactly how a write parked behind
+//!   a dead pipe reaches the electorate before a primary crash's election.
+//! * [`FaultKind::DropBatch`] — the next window delivered on one
+//!   follower's channel vanishes on the wire, silently (no demotion): the
+//!   window-wide chain gap must surface at the follower's next delivery as
+//!   a snapshot resync — the per-window analogue of
+//!   [`FaultKind::LoseIncremental`].
 //!
 //! For "kill this replica's process" scenarios — where the replica stops
 //! answering *requests*, not just replication traffic — [`kill_server_at`]
@@ -86,13 +88,14 @@ pub enum FaultKind {
         to: u64,
     },
     /// Wedge follower `.0`'s background forward channel from this
-    /// mutation's enqueue on: deltas keep queueing but the sender stops
-    /// shipping until a fence drain (failover, migration) or
-    /// [`reinstate`](crate::ClusterRouter::reinstate) clears the stall.
+    /// mutation's enqueue on: deltas keep queueing (their mutations parked
+    /// on the ack) but the sender stops delivering until a fence drain
+    /// (failover, migration, the monitor's sweep) goes through the stall or
+    /// [`reinstate`](crate::ClusterRouter::reinstate) clears it.
     StallForwardChannel(usize),
-    /// Silently lose the *next batch* shipped on follower `.0`'s channel —
-    /// the whole wire transfer, however many coalesced mutations it
-    /// covers — without the router noticing (no demotion).
+    /// Silently lose the *next window* delivered on follower `.0`'s
+    /// channel — the whole wire transfer, however many deltas it carries —
+    /// without the router noticing (no demotion).
     DropBatch(usize),
 }
 

@@ -29,10 +29,9 @@
 //!   policy.
 //! * **Replication & failover** ([`router`]) — each ring arc can be a
 //!   replica group ([`ClusterRouter::add_replicated_shard`]): the primary
-//!   applies a mutation, enqueues the counter-attested policy/session
-//!   delta onto per-follower background channels (windowed batching off
-//!   the ack path under [`router::AckMode::Windowed`], synchronous
-//!   durable acks by default), and acks at a configurable write quorum. A
+//!   applies a mutation, enqueues the counter-attested incremental delta
+//!   onto per-follower background channels, awaits every in-quorum
+//!   follower's durable verdict, and acks at a configurable write quorum. A
 //!   quarantined primary fails over to the freshest in-quorum follower —
 //!   freshness decided by the Fig. 6 counter token, so a rolled-back
 //!   replica never wins — instead of taking its arc offline. Reinstated or
@@ -47,9 +46,9 @@
 //!   closes the health loop without an operator: background probe sweeps
 //!   (automatic quarantine + failover, dark-group recovery), per-policy
 //!   chain-cursor/digest anti-entropy that repairs quietly-diverged
-//!   followers before a mutation trips the chain check, automatic
-//!   re-admission of caught-up replicas, and saturation-triggered flush
-//!   windows — every action recorded on the telemetry flight recorder.
+//!   followers before a mutation trips the chain check, and automatic
+//!   re-admission of caught-up replicas — every action recorded on the
+//!   telemetry flight recorder.
 //! * **Deterministic fault injection** ([`fault`]) — a [`FaultPlan`] names
 //!   crash / partition / counter-rollback faults by an exact
 //!   (shard, operation) coordinate, so every failover scenario the test
@@ -64,10 +63,9 @@ pub use fault::{kill_server_at, kill_server_between, FaultKind, FaultPlan, Plann
 pub use monitor::{ClusterMonitor, MonitorConfig, TickReport};
 pub use ring::{HashRing, ShardId};
 pub use router::{
-    strict_shard, AckMode, AntiEntropyOutcome, ClusterDoor, ClusterError, ClusterRouter,
-    ClusterStats, PolicyMove, QuarantineOutcome, ReadPreference, ReplicaHealth, ReplicaSetStatus,
-    ReplicaStatus, ReplicationMode, ReplicationStats, ShardHealth, ShardPlan, ShardStats,
-    DEGRADED_SATURATION,
+    strict_shard, AntiEntropyOutcome, ClusterDoor, ClusterError, ClusterRouter, ClusterStats,
+    PolicyMove, QuarantineOutcome, ReadPreference, ReplicaHealth, ReplicaSetStatus, ReplicaStatus,
+    ReplicationStats, ShardHealth, ShardPlan, ShardStats,
 };
 
 /// Convenience alias for results in this crate.

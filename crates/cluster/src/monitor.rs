@@ -15,16 +15,14 @@
 //!    electable successor is re-seated on the freshest probe-answering
 //!    survivor and the rest caught up from it
 //!    ([`ClusterRouter::heal_dark_shard`]);
-//! 3. **relieves back-pressure** — a group whose
-//!    [`pipe_saturation`](crate::router::ShardHealth::pipe_saturation)
-//!    crosses the degradation threshold gets a forced flush window;
-//! 4. **runs anti-entropy** — per-policy (chain cursor, content digest)
-//!    pairs are compared across each group's replicas and divergence is
-//!    healed by cursor-bounded delta resend or snapshot resync *before*
-//!    the next mutation trips the chain check; a quorum-demoted follower
-//!    that ends the pass chain-complete is re-admitted
-//!    ([`ClusterRouter::anti_entropy_sweep`]);
-//! 5. **reforms the quorum** — a replica that stayed quarantined for
+//! 3. **runs anti-entropy** — wedged forward channels are fenced through
+//!    (releasing any writer parked on them), then per-policy (chain
+//!    cursor, content digest) pairs are compared across each group's
+//!    replicas and divergence is healed by cursor-bounded delta resend or
+//!    snapshot resync *before* the next mutation trips the chain check; a
+//!    quorum-demoted follower that ends the pass chain-complete is
+//!    re-admitted ([`ClusterRouter::anti_entropy_sweep`]);
+//! 4. **reforms the quorum** — a replica that stayed quarantined for
 //!    [`MonitorConfig::probation_ticks`] consecutive passes but answers
 //!    probes again is rebuilt from the quorum's state and rejoined
 //!    ([`ClusterRouter::heal_quarantined`]).
@@ -59,7 +57,7 @@ use palaemon_telemetry::EventKind;
 use parking_lot::Mutex;
 
 use crate::ring::ShardId;
-use crate::router::{ClusterRouter, DEGRADED_SATURATION};
+use crate::router::ClusterRouter;
 
 /// Tuning knobs for a [`ClusterMonitor`].
 #[derive(Debug, Clone)]
@@ -68,10 +66,6 @@ pub struct MonitorConfig {
     /// irrelevant when the harness drives [`ClusterMonitor::tick`]
     /// directly).
     pub cadence: Duration,
-    /// Pipe saturation at or above which a tick forces a flush window on
-    /// the group (defaults to [`DEGRADED_SATURATION`], the health
-    /// report's own degradation threshold).
-    pub saturation_threshold: f64,
     /// Consecutive ticks a replica must sit quarantined before the
     /// monitor attempts to rebuild and rejoin it. A floor of 1 means
     /// "heal on the next tick"; higher values keep a flapping replica
@@ -87,7 +81,6 @@ impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             cadence: Duration::from_millis(250),
-            saturation_threshold: DEGRADED_SATURATION,
             probation_ticks: 2,
             heal_quarantined: true,
         }
@@ -103,8 +96,6 @@ pub struct TickReport {
     pub auto_failovers: u64,
     /// Dark groups (quarantined seat, no successor) brought back.
     pub dark_recovered: u64,
-    /// Groups force-flushed for crossing the saturation threshold.
-    pub forced_flushes: u64,
     /// Anti-entropy repairs applied (cursor advances, delta resends,
     /// snapshot resyncs — one per healed (replica, policy) pair).
     pub repairs: u64,
@@ -119,12 +110,7 @@ impl TickReport {
     /// Total autonomous actions the pass took; 0 means the cluster was
     /// converged and the pass was a pure observation.
     pub fn actions(&self) -> u64 {
-        self.auto_failovers
-            + self.dark_recovered
-            + self.forced_flushes
-            + self.repairs
-            + self.readmitted
-            + self.healed
+        self.auto_failovers + self.dark_recovered + self.repairs + self.readmitted + self.healed
     }
 }
 
@@ -132,7 +118,6 @@ impl TickReport {
 struct Totals {
     auto_failovers: AtomicU64,
     dark_recovered: AtomicU64,
-    forced_flushes: AtomicU64,
     repairs: AtomicU64,
     readmitted: AtomicU64,
     healed: AtomicU64,
@@ -217,17 +202,9 @@ impl ClusterMonitor {
                 report.dark_recovered += 1;
                 report.auto_failovers += 1;
             }
-
-            // 3. Back-pressure relief: force a flush window on saturated
-            //    groups so a slow consumer drains before acks degrade.
-            if shard.pipe_saturation >= self.config.saturation_threshold
-                && router.flush_replication(shard.id)
-            {
-                report.forced_flushes += 1;
-            }
         }
 
-        // 4. Anti-entropy: heal divergence, re-admit caught-up
+        // 3. Anti-entropy: heal divergence, re-admit caught-up
         //    followers. Runs after dark recovery so a just-reseated
         //    group gets its sweep this same pass.
         for id in router.monitor_shard_ids() {
@@ -236,7 +213,7 @@ impl ClusterMonitor {
             report.readmitted += outcome.readmitted;
         }
 
-        // 5. Probation: rebuild quarantined replicas that answered
+        // 4. Probation: rebuild quarantined replicas that answered
         //    probes for `probation_ticks` consecutive passes.
         let mut probation = self.probation.lock();
         let mut live: Vec<(ShardId, usize)> = Vec::new();
@@ -274,9 +251,6 @@ impl ClusterMonitor {
             .dark_recovered
             .fetch_add(report.dark_recovered, Ordering::Relaxed);
         self.totals
-            .forced_flushes
-            .fetch_add(report.forced_flushes, Ordering::Relaxed);
-        self.totals
             .repairs
             .fetch_add(report.repairs, Ordering::Relaxed);
         self.totals
@@ -295,7 +269,6 @@ impl ClusterMonitor {
         TickReport {
             auto_failovers: self.totals.auto_failovers.load(Ordering::Relaxed),
             dark_recovered: self.totals.dark_recovered.load(Ordering::Relaxed),
-            forced_flushes: self.totals.forced_flushes.load(Ordering::Relaxed),
             repairs: self.totals.repairs.load(Ordering::Relaxed),
             readmitted: self.totals.readmitted.load(Ordering::Relaxed),
             healed: self.totals.healed.load(Ordering::Relaxed),

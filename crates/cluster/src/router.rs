@@ -21,19 +21,17 @@
 //! the router, still inside the client's call, forwards a
 //! *counter-attested delta*
 //! ([`PolicyDelta`](palaemon_core::tms::PolicyDelta)) to every in-quorum
-//! follower. In the default [`ReplicationMode::Incremental`] the
-//! delta carries only **what the mutation changed** (the engine's captured
-//! write batch: puts + tombstones — e.g. just the tag row for a tag push),
-//! digest-bound to the policy name and *chained to the predecessor delta's
-//! counter token*: a follower applies an incremental only when its own
-//! per-policy cursor equals the delta's `parent`, so a lost or reordered
-//! forward surfaces as an out-of-sequence rejection and is healed by an
-//! on-the-spot **snapshot resync** (the full-record form, which resets the
-//! chain) — never silent divergence. Replication cost therefore tracks the
-//! mutation, not the policy size; [`ReplicationMode::Snapshot`] keeps the
-//! PR 4 full-snapshot-per-mutation behavior for comparison, and snapshots
-//! remain the warm-copy/catch-up and migration form. The call acknowledges
-//! only once `write_quorum` replicas (primary included) hold the write;
+//! follower. The delta carries only **what the mutation changed** (the
+//! engine's captured write batch: puts + tombstones — e.g. just the tag row
+//! for a tag push), digest-bound to the policy name and *chained to the
+//! predecessor delta's counter token*: a follower applies an incremental
+//! only when its own per-policy cursor equals the delta's `parent`, so a
+//! lost or reordered forward surfaces as an out-of-sequence rejection and
+//! is healed by an on-the-spot **snapshot resync** (the full-record form,
+//! which resets the chain) — never silent divergence. Replication cost
+//! therefore tracks the mutation, not the policy size; snapshots are the
+//! resync, catch-up and migration form only. The call acknowledges only
+//! once `write_quorum` replicas (primary included) hold the write;
 //! otherwise it fails with [`ClusterError::QuorumLost`] and the write may
 //! legitimately be lost by a later failover. A follower that misses or
 //! fails a forward is demoted from the quorum until it catches up.
@@ -42,59 +40,45 @@
 //! *extraction* is serialized per group (`forward_lock`), so in-quorum
 //! followers apply the same delta sequence the primary produced.
 //!
-//! ## Pipelined forwards ([`AckMode`])
-//! Forwards no longer ride the client's call. The primary enqueues each
-//! delta onto a **per-follower background channel** under the forward
-//! lock — the critical section is now seat-check + capture-drain +
-//! enqueue, microseconds instead of R−1 wire round-trips.
+//! ## Pipelined forwards
+//! Forwards ride a **per-follower background channel**: the primary
+//! enqueues each delta under the forward lock — the critical section is
+//! seat-check + capture-drain + enqueue, microseconds instead of R−1 wire
+//! round-trips — and a dedicated sender thread per follower delivers it.
 //!
-//! **Overlap, don't serialize.** Of a durable mutation's four waits — the
-//! primary's WAL sync, the sender finishing its previous cycle, the wire,
-//! the follower's sync — only wire → follower sync depend on each other,
-//! and Fig. 6 orders just the *acknowledgement* after "state durable,
-//! counter covered". So (1) **the primary redeems its own commit behind
-//! the forward**: the mutation is *staged* on the primary
-//! ([`TmsServer::stage`]), its delta enqueued, and only then are the local
-//! commit ticket (+ counter commit) redeemed and the followers' verdicts
-//! awaited — `Ok` needs **both**, so it still means durable in the
-//! primary's crash image *and* on every in-quorum follower. (2) **Wire
-//! transit is an arrival deadline on the delta, not a sleep in the
-//! sender**: a queued forward carries the instant the modelled wire
-//! delivers it — send time + the forward latency; durable deltas are sent
-//! at enqueue (stamped under the forward lock, so deadlines are
-//! queue-ordered), windowed ones when their flush window closes. The
-//! sender waits for its head to arrive holding only the queue condvar,
-//! then delivers the arrived *prefix* — never reordered — as one window:
-//! window N+1 travels while window N syncs, and no delta is staged before
-//! its transit has elapsed. A fence drain sends what is unsent, waits out
-//! only the residual transit of the newest queued item, then delivers
-//! everything.
+//! **One ack rule** (Fig. 6: *state durable, counter covered, then ack*).
+//! The mutation is *staged* on the primary ([`TmsServer::stage`]), its
+//! delta enqueued, and only then are the local commit ticket (+ counter
+//! commit) redeemed and every in-quorum follower's durable verdict
+//! awaited: `Ok` needs `write_quorum` holders **and** the primary's own
+//! redeem, so it means durable in the primary's crash image *and* on the
+//! followers that counted. Of the four waits involved — the primary's WAL
+//! sync, the sender finishing its previous cycle, the wire, the follower's
+//! sync — only wire → follower sync depend on each other, so the rest
+//! overlap: the primary redeems **behind** the forward, and wire transit
+//! is an **arrival deadline on the delta**, not a sleep in the sender (send
+//! time + the forward latency, stamped at enqueue under the forward lock,
+//! so deadlines are queue-ordered). The sender waits for its head to
+//! arrive holding only the queue condvar, then pops the arrived *prefix* —
+//! never reordered — as one window: it **stages** each delta on the
+//! follower in queue order (digest check, chain check, tree apply, cursor
+//! advance, into the follower's group-commit window) and only afterwards
+//! **redeems** the commit tickets — the first leads one `sync` for the
+//! whole window, the rest read its verdict. Window N+1 travels while
+//! window N syncs, and no delta is staged before its transit has elapsed.
+//! A follower's applied token advances and a waiting mutation is released
+//! only behind that verdict; a failed verdict demotes the follower and
+//! fails every delta of the window. Deltas stay one per mutation, so an
+//! omission fault surfaces per delta: a gap (e.g. a dropped window) is an
+//! out-of-sequence rejection at the next delivery, healed in place by a
+//! snapshot resync staged into the same window.
 //!
-//! A dedicated sender thread per follower pops that arrived window, then
-//! **stages** each delta of it on the follower in queue order (digest
-//! check, chain check, tree apply, cursor advance, into the follower's
-//! group-commit window) and only afterwards
-//! **redeems** the commit tickets: the first leads one `sync` for the
-//! whole window, the rest read its verdict. A follower's applied token
-//! advances and a waiting mutation is released only behind that verdict,
-//! so an ack means *durable on this follower*; a failed verdict demotes
-//! the follower and fails every delta of the window. In the default
-//! [`AckMode::Durable`] the mutation blocks until every live follower has
-//! delivered that verdict for its delta (deltas stay one per mutation, so
-//! omission faults surface exactly as before). [`AckMode::Windowed`]
-//! acknowledges at *local commit + enqueue-under-quorum*: the sender
-//! accumulates a flush window ([`ClusterRouter::set_flush_window`]) and
-//! additionally ships **one chained delta per policy for the window** —
-//! consecutive same-policy incrementals coalesce their [`ChangeSet`]s
-//! (parent = the first's parent, token = the last's token), consecutive
-//! snapshots keep only the newest. The chain-token rule is unchanged: a
-//! gap (e.g. a dropped batch) surfaces as an out-of-sequence rejection at
-//! the next delivery and is healed in place by a snapshot resync staged
-//! into the same window. **Fencing:** every seat change drains all
-//! channels under the forward lock before the election, so an
-//! enqueue-acked write always reaches the electorate and a deposed
-//! primary's queued batches can never clobber its successor; an operator
-//! can force the same flush with [`ClusterRouter::flush_replication`].
+//! **Fencing.** Every seat change drains all channels under the forward
+//! lock before the election — waiting out only the residual transit of the
+//! newest queued delta, and delivering through a wedged channel too — so a
+//! write parked on its ack reaches the electorate and a deposed primary's
+//! queued deltas can never clobber its successor. An operator can force
+//! the same drain with [`ClusterRouter::flush_replication`].
 //!
 //! ## Read placement ([`ReadPreference`])
 //! Under the default [`ReadPreference::Primary`] every read is served by
@@ -172,20 +156,15 @@
 //! **Lock order:** `rebalance_gate` → `topology` → (one group's
 //! `forward_lock`) → (one pipe's `delivery` then `queue`) → `sessions` →
 //! (any engine's internal locks). Sender threads take only their own
-//! pipe's locks and engine locks — never `forward_lock` or `topology` —
-//! so the request path and the background data plane cannot deadlock.
-//! `delivery` covers pop + stage + redeem and is **not** held across the
-//! wire: a sender's arrival wait holds `queue` only (a condvar wait), so
-//! fence drains and heals never queue behind a delta in transit.
-//! The monitor thread follows the dispatch order exactly: its sweeps take
-//! `topology` (read) → `forward_lock` → pipe `delivery` then `queue` →
-//! engine locks, and its health probes hold **no** router lock at all, so
-//! attaching a monitor introduces no new lock edges. Health flags are
-//! atomics so marking a replica Byzantine never blocks traffic. Telemetry
-//! locks (the flight-recorder ring and the registry maps in
-//! `palaemon-telemetry`) are **leaves**: taken, updated and released
-//! without calling back into router or engine code, so they may be
-//! acquired under any of the locks above without extending the order.
+//! pipe's locks and engine locks, so the request path and the background
+//! data plane cannot deadlock. `delivery` covers pop + stage + redeem and
+//! is **not** held across the wire (the arrival wait is a condvar wait on
+//! `queue`), so fence drains never queue behind a delta in transit. The
+//! monitor follows the dispatch order exactly and probes with **no**
+//! router lock held, so attaching one adds no lock edges. Health flags
+//! are atomics; telemetry locks (flight-recorder ring, registry maps) are
+//! **leaves** — never calling back into router or engine code — and may
+//! be taken under any lock above.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -196,8 +175,7 @@ use palaemon_core::counterfile::{BatchedCounter, MonotonicCounter};
 use palaemon_core::frontdoor::Door;
 use palaemon_core::server::{ServerStats, TmsRequest, TmsResponse, TmsServer};
 use palaemon_core::tms::{
-    records_digest, DeltaPayload, Palaemon, PolicyDelta, PolicyRecords, ReplicationSnapshot,
-    SessionId,
+    records_digest, Palaemon, PolicyDelta, PolicyRecords, ReplicationSnapshot, SessionId,
 };
 use palaemon_core::PalaemonError;
 use palaemon_db::{ChangeSet, CommitTicket};
@@ -306,66 +284,20 @@ pub enum ReadPreference {
     Quorum,
 }
 
-/// What the primary forwards to its followers after a mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicationMode {
-    /// Ship only what the mutation changed (an incremental
-    /// [`PolicyDelta`], chained by counter token), falling back to a
-    /// snapshot when a follower's chain breaks. Replication cost tracks
-    /// the mutation, not the policy size.
-    #[default]
-    Incremental,
-    /// Ship the full-policy snapshot on every mutation (the PR 4
-    /// behavior; kept for comparison and migration).
-    Snapshot,
-}
-
-/// When a replicated mutation acknowledges to the client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AckMode {
-    /// Block until the delta is **durable** on every live follower *and*
-    /// in the primary's own crash image — the synchronous semantics every
-    /// caller had before pipelining. The delta is sent at enqueue, and the
-    /// primary's WAL sync runs while it travels. Deltas are never
-    /// coalesced (omission faults surface per delta), but everything that
-    /// has arrived is staged whole on the follower and synced once: each
-    /// delta's ack is that one sync's verdict, not a sync of its own.
-    #[default]
-    Durable,
-    /// Acknowledge at local commit + enqueue-under-quorum: the write is
-    /// on the primary and queued (under the forward lock, seat verified)
-    /// to every in-quorum follower channel. The senders batch a flush
-    /// window into one chained delta per policy. Failover fencing drains
-    /// the channels before any election, so an enqueue-acked write
-    /// survives a primary crash; a *silently* dropped batch (omission on
-    /// the wire) surfaces as a chain gap and snapshot resync, exactly
-    /// like a lost synchronous forward.
-    Windowed,
-}
-
-/// Why a sender flushed its accumulation window (pipeline telemetry).
+/// Why a window of deltas was delivered (pipeline telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FlushReason {
-    /// The window filled to the batch cap before the timer fired.
-    WindowFull,
-    /// The flush-window timer elapsed.
-    Timer,
-    /// A fence (failover, migration install, operator flush) forced the
-    /// queue to drain.
+    /// A fence (failover, migration install, operator flush) drained the
+    /// queue.
     Fence,
-    /// A durable-ack item demanded immediate shipping.
+    /// The follower's sender delivered what had arrived.
     Durable,
 }
 
-/// Shared knobs of the pipelined forward path (one per router, cloned
-/// into every group; all atomic so senders read them lock-free).
+/// The modelled wire of the pipelined forward path (one per router, shared
+/// with every group; atomic so it is read lock-free).
+#[derive(Default)]
 struct PipelineConfig {
-    /// Encoded [`AckMode`].
-    mode: AtomicU8,
-    /// Flush window in microseconds (windowed mode). 0 ships immediately.
-    window_micros: AtomicU64,
-    /// Max queued mutations one flush covers before the timer fires.
-    window_cap: AtomicUsize,
     /// Modelled one-way wire latency per delta sent, in microseconds —
     /// overlappable: a delta's transit runs concurrently with its
     /// predecessors' follower sync and the primary's own. 0 (production
@@ -373,41 +305,15 @@ struct PipelineConfig {
     forward_latency_micros: AtomicU64,
 }
 
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            mode: AtomicU8::new(0),
-            window_micros: AtomicU64::new(1_000),
-            window_cap: AtomicUsize::new(64),
-            forward_latency_micros: AtomicU64::new(0),
-        }
-    }
-}
-
 impl PipelineConfig {
-    fn ack_mode(&self) -> AckMode {
-        match self.mode.load(Ordering::Acquire) {
-            0 => AckMode::Durable,
-            _ => AckMode::Windowed,
-        }
-    }
-
-    fn flush_window(&self) -> Duration {
-        Duration::from_micros(self.window_micros.load(Ordering::Acquire))
-    }
-
-    fn window_cap(&self) -> usize {
-        self.window_cap.load(Ordering::Acquire).max(1)
-    }
-
     fn forward_latency(&self) -> Duration {
         Duration::from_micros(self.forward_latency_micros.load(Ordering::Acquire))
     }
 }
 
-/// Upper bound a durable-ack mutation spends waiting on its follower
-/// deliveries — one deadline shared by all of them, so a wedged group
-/// holds a front-door worker this long, not R−1 times this long — before
+/// Upper bound a mutation spends waiting on its follower deliveries — one
+/// deadline shared by all of them, so a wedged group holds a front-door
+/// worker this long, not R−1 times this long — before
 /// treating the unresolved ones as failed (the senders resolve long
 /// before this in any healthy run; the cap only prevents an unbounded
 /// hang if a sender is wedged — the write then reports
@@ -446,25 +352,17 @@ pub struct ReplicationStats {
     /// Out-of-sequence deltas a follower refused (lost/reordered/replayed
     /// forwards surfacing at the chain check).
     pub sequence_rejections: u64,
-    /// Deltas the background senders shipped, after window coalescing —
+    /// Deltas delivered to followers (counted per follower delivery) —
     /// *not* wire transfers: one transfer carries a whole popped window,
-    /// so transfers are `flushes_window_full + flushes_timer +
-    /// flushes_fence + flushes_durable`.
+    /// so transfers are `flushes_durable + flushes_fence`.
     pub batches_shipped: u64,
-    /// Mutations those deltas covered (≥ `batches_shipped`; the ratio is
-    /// the coalescing win, and over the flush sum above it is mutations
-    /// per wire transfer — and per follower sync).
+    /// Mutations those deltas covered: one per delta, so over the flush
+    /// sum above it is mutations per wire transfer — and per follower
+    /// sync.
     pub mutations_shipped: u64,
-    /// Mutations-per-batch histogram: buckets of 1, 2–4, 5–16, 17–64 and
-    /// >64 mutations coalesced into one shipped delta.
-    pub batch_histogram: [u64; 5],
-    /// Flushes forced by the window cap filling.
-    pub flushes_window_full: u64,
-    /// Flushes fired by the window timer.
-    pub flushes_timer: u64,
-    /// Flushes forced by a fence (failover, migration, operator flush).
+    /// Windows delivered by a fence (failover, migration, operator flush).
     pub flushes_fence: u64,
-    /// Flushes demanded by a durable-ack item.
+    /// Windows delivered by the followers' sender threads.
     pub flushes_durable: u64,
     /// Policies shipped by catch-up resyncs (cursor or digest diverged).
     pub catchup_policies_shipped: u64,
@@ -505,19 +403,6 @@ impl Collect for ReplicationStats {
             "replication_mutations_shipped_total",
             self.mutations_shipped,
         );
-        for (bucket, count) in ["1", "2-4", "5-16", "17-64", ">64"]
-            .into_iter()
-            .zip(self.batch_histogram)
-        {
-            sink.scoped("mutations", bucket, |sink| {
-                sink.counter("replication_batch_size_total", count)
-            });
-        }
-        sink.counter(
-            "replication_flushes_window_full_total",
-            self.flushes_window_full,
-        );
-        sink.counter("replication_flushes_timer_total", self.flushes_timer);
         sink.counter("replication_flushes_fence_total", self.flushes_fence);
         sink.counter("replication_flushes_durable_total", self.flushes_durable);
         sink.counter(
@@ -548,9 +433,6 @@ struct ReplTelemetry {
     sequence_rejections: AtomicU64,
     batches_shipped: AtomicU64,
     mutations_shipped: AtomicU64,
-    batch_histogram: [AtomicU64; 5],
-    flushes_window_full: AtomicU64,
-    flushes_timer: AtomicU64,
     flushes_fence: AtomicU64,
     flushes_durable: AtomicU64,
     catchup_policies_shipped: AtomicU64,
@@ -571,26 +453,15 @@ impl ReplTelemetry {
         }
     }
 
-    /// Accounts one shipped batch covering `mutations` coalesced deltas.
-    fn count_batch(&self, mutations: u64) {
-        self.batches_shipped.fetch_add(1, Ordering::Relaxed);
-        self.mutations_shipped
-            .fetch_add(mutations, Ordering::Relaxed);
-        let bucket = match mutations {
-            0..=1 => 0,
-            2..=4 => 1,
-            5..=16 => 2,
-            17..=64 => 3,
-            _ => 4,
-        };
-        self.batch_histogram[bucket].fetch_add(1, Ordering::Relaxed);
+    /// Accounts `deltas` delivered deltas (each covers one mutation).
+    fn count_batches(&self, deltas: u64) {
+        self.batches_shipped.fetch_add(deltas, Ordering::Relaxed);
+        self.mutations_shipped.fetch_add(deltas, Ordering::Relaxed);
     }
 
-    /// Accounts why a sender flushed its window.
+    /// Accounts who delivered a window.
     fn count_flush(&self, reason: FlushReason) {
         let counter = match reason {
-            FlushReason::WindowFull => &self.flushes_window_full,
-            FlushReason::Timer => &self.flushes_timer,
             FlushReason::Fence => &self.flushes_fence,
             FlushReason::Durable => &self.flushes_durable,
         };
@@ -612,15 +483,6 @@ impl ReplTelemetry {
             sequence_rejections: self.sequence_rejections.load(Ordering::Relaxed),
             batches_shipped: self.batches_shipped.load(Ordering::Relaxed),
             mutations_shipped: self.mutations_shipped.load(Ordering::Relaxed),
-            batch_histogram: [
-                self.batch_histogram[0].load(Ordering::Relaxed),
-                self.batch_histogram[1].load(Ordering::Relaxed),
-                self.batch_histogram[2].load(Ordering::Relaxed),
-                self.batch_histogram[3].load(Ordering::Relaxed),
-                self.batch_histogram[4].load(Ordering::Relaxed),
-            ],
-            flushes_window_full: self.flushes_window_full.load(Ordering::Relaxed),
-            flushes_timer: self.flushes_timer.load(Ordering::Relaxed),
             flushes_fence: self.flushes_fence.load(Ordering::Relaxed),
             flushes_durable: self.flushes_durable.load(Ordering::Relaxed),
             catchup_policies_shipped: self.catchup_policies_shipped.load(Ordering::Relaxed),
@@ -682,22 +544,9 @@ pub struct ShardHealth {
     pub healthy: bool,
     /// Why the primary seat was quarantined, when it was.
     pub reason: Option<String>,
-    /// How full the fullest live forward channel is, as a fraction of
-    /// the flush-window cap (0.0 = idle; ≥ 1.0 = a sender is not keeping
-    /// up and mutations queue faster than they ship). 0.0 for
-    /// single-replica shards.
-    pub pipe_saturation: f64,
-    /// True when the group is routable but a live forward channel is
-    /// saturated past [`DEGRADED_SATURATION`] — it still serves, but the
-    /// background data plane is falling behind.
-    pub degraded: bool,
     /// Per-replica verdicts, in replica-index order.
     pub replicas: Vec<ReplicaHealth>,
 }
-
-/// Pipe-saturation fraction above which a routable shard is reported
-/// degraded by [`ClusterRouter::health_check`].
-pub const DEGRADED_SATURATION: f64 = 0.8;
 
 /// The outcome of pulling a shard's primary
 /// ([`ClusterRouter::quarantine`]; the monitor's auto-failovers follow
@@ -763,9 +612,6 @@ pub struct ShardStats {
     /// replica-index order (the primary's own slot is 0). Empty for
     /// single-replica shards.
     pub queue_depths: Vec<usize>,
-    /// How full the fullest live forward channel is, as a fraction of
-    /// the flush-window cap (see [`ShardHealth::pipe_saturation`]).
-    pub pipe_saturation: f64,
 }
 
 impl Collect for ShardStats {
@@ -782,7 +628,6 @@ impl Collect for ShardStats {
                 "shard_queue_depth",
                 self.queue_depths.iter().sum::<usize>() as f64,
             );
-            sink.gauge("shard_pipe_saturation", self.pipe_saturation);
             self.server.collect(sink);
             self.replication.collect(sink);
         });
@@ -917,12 +762,10 @@ impl std::fmt::Display for ClusterStats {
                     let queued: usize = s.queue_depths.iter().sum();
                     write!(
                         f,
-                        " | pipeline: {} batches / {} mutations ({} queued), flushes: {} full / {} timer / {} fence / {} durable",
+                        " | pipeline: {} batches / {} mutations ({} queued), flushes: {} fence / {} durable",
                         r.batches_shipped,
                         r.mutations_shipped,
                         queued,
-                        r.flushes_window_full,
-                        r.flushes_timer,
                         r.flushes_fence,
                         r.flushes_durable,
                     )?;
@@ -1023,8 +866,9 @@ impl Replica {
     }
 }
 
-/// A synchronization point a durable-ack mutation parks on: resolved by
-/// the follower's sender thread once its delta is applied (or failed).
+/// A synchronization point a mutation parks on: resolved by the follower's
+/// sender thread (or a fence drain) once its delta is durable there — or
+/// has failed.
 struct Completion {
     state: StdMutex<Option<bool>>,
     done: Condvar,
@@ -1061,22 +905,22 @@ impl Completion {
     }
 }
 
-/// One delta queued on a follower's forward channel.
+/// One delta queued on a follower's forward channel. Built at enqueue,
+/// under `forward_lock`.
 struct QueuedForward {
     delta: PolicyDelta,
-    /// When the modelled wire delivers the delta to the follower: send
-    /// time + [`PipelineConfig::forward_latency`]. Durable-ack items are
-    /// sent at enqueue (stamped under `forward_lock`, so deadlines are
-    /// queue-ordered); windowed items are `None` — unsent — until their
-    /// flush window closes. Nothing is staged before it has arrived.
-    arrives: Option<Instant>,
-    /// Present for durable-ack items: the mutation blocks on it, and the
-    /// sender ships the item individually (never coalesced).
-    completion: Option<Arc<Completion>>,
+    /// When the modelled wire delivers the delta to the follower: enqueue
+    /// time + [`PipelineConfig::forward_latency`], stamped under
+    /// `forward_lock`, so deadlines are queue-ordered. Nothing is staged
+    /// before it has arrived.
+    arrives: Instant,
+    /// What the enqueuing mutation blocks on: this follower's durable
+    /// verdict for the delta.
+    completion: Arc<Completion>,
     /// A delta the fault injector delivered out of order (behind its
-    /// successor). Shipped individually via the legacy stale path: a
-    /// same-policy chain mismatch only counts a rejection — no resync, no
-    /// demotion — because the successor already carried the state.
+    /// successor). Staged via the legacy stale path: a same-policy chain
+    /// mismatch only counts a rejection — no resync, no demotion — because
+    /// the successor already carried the state.
     stale: bool,
 }
 
@@ -1084,24 +928,13 @@ struct QueuedForward {
 struct PipeQueue {
     items: VecDeque<QueuedForward>,
     /// [`FaultKind::StallForwardChannel`]: the sender stops draining (a
-    /// wedged network path) until a fence drain or reinstate clears it.
+    /// wedged network path) until a repair clears it; a failover fence
+    /// delivers through it meanwhile.
     stalled: bool,
-    /// [`FaultKind::DropBatch`]: the next popped batch vanishes on the
+    /// [`FaultKind::DropBatch`]: the next popped window vanishes on the
     /// wire — silently, without demotion.
     drop_next: bool,
     shutdown: bool,
-}
-
-impl PipeQueue {
-    /// Puts everything still unsent on the wire now; returns when the
-    /// newest queued item lands (`None`: nothing queued).
-    fn send_all(&mut self, latency: Duration) -> Option<Instant> {
-        let arrives = Instant::now() + latency;
-        self.items
-            .iter_mut()
-            .map(|item| *item.arrives.get_or_insert(arrives))
-            .max()
-    }
 }
 
 /// One follower's background forward channel plus its wakeup machinery.
@@ -1146,6 +979,12 @@ impl Pipe {
         self.queue.lock().unwrap().items.len()
     }
 
+    /// When the newest queued delta lands (`None`: nothing queued).
+    fn last_arrival(&self) -> Option<Instant> {
+        let q = self.queue.lock().unwrap();
+        q.items.iter().map(|item| item.arrives).max()
+    }
+
     fn set_stalled(&self) {
         self.queue.lock().unwrap().stalled = true;
     }
@@ -1169,9 +1008,7 @@ impl Pipe {
     fn purge(&self) {
         let mut q = self.queue.lock().unwrap();
         for item in q.items.drain(..) {
-            if let Some(c) = item.completion {
-                c.resolve(false);
-            }
+            item.completion.resolve(false);
         }
     }
 
@@ -1188,7 +1025,7 @@ impl Pipe {
         let arrived = q
             .items
             .iter()
-            .take_while(|item| item.arrives.is_some_and(|at| at <= now))
+            .take_while(|item| item.arrives <= now)
             .count();
         let items: Vec<QueuedForward> = q.items.drain(..arrived).collect();
         let dropped = !items.is_empty() && std::mem::take(&mut q.drop_next);
@@ -1199,121 +1036,6 @@ impl Pipe {
         self.queue.lock().unwrap().shutdown = true;
         self.ready.notify_all();
     }
-}
-
-/// One shipped delta: either a queued item verbatim, or a window of
-/// consecutive same-policy incrementals coalesced into one chained delta
-/// (parent = the first's parent, token = the last's token — the follower
-/// applies it exactly as it would the uncoalesced sequence).
-struct Shipment {
-    body: ShipBody,
-    mutations: u64,
-    stale: bool,
-    completions: Vec<Arc<Completion>>,
-}
-
-enum ShipBody {
-    Verbatim(PolicyDelta),
-    Merged {
-        policy: String,
-        changes: ChangeSet,
-        parent: u64,
-        token: u64,
-    },
-}
-
-impl Shipment {
-    fn build(self) -> (PolicyDelta, u64, bool, Vec<Arc<Completion>>) {
-        let delta = match self.body {
-            ShipBody::Verbatim(delta) => delta,
-            ShipBody::Merged {
-                policy,
-                changes,
-                parent,
-                token,
-            } => PolicyDelta::incremental(&policy, changes, token, parent),
-        };
-        (delta, self.mutations, self.stale, self.completions)
-    }
-}
-
-/// Splits a delta for coalescing: an incremental yields the [`ChangeSet`]
-/// it was built from (puts/tombstones are disjoint by construction), a
-/// snapshot comes back whole.
-fn changeset_of(delta: PolicyDelta) -> std::result::Result<ChangeSet, PolicyDelta> {
-    match delta.payload {
-        DeltaPayload::Incremental { puts, tombstones } => {
-            let mut changes = ChangeSet::default();
-            for (key, value) in puts {
-                changes.record_put(key, value);
-            }
-            for key in tombstones {
-                changes.record_delete(key);
-            }
-            Ok(changes)
-        }
-        DeltaPayload::Snapshot { .. } => Err(delta),
-    }
-}
-
-/// Coalesces one popped window into the shipments that go on the wire.
-/// Same-policy runs of plain incrementals merge their change sets;
-/// consecutive snapshots keep only the newest. Durable-ack and stale
-/// items ship individually and close their policy's open run, so the
-/// per-policy delta order on the wire is exactly the enqueue order.
-fn coalesce(items: Vec<QueuedForward>) -> Vec<Shipment> {
-    let mut out: Vec<Shipment> = Vec::new();
-    let mut open: HashMap<String, usize> = HashMap::new();
-    for item in items {
-        let policy = item.delta.policy.clone();
-        let (parent, tail) = (item.delta.parent, item.delta.token);
-        let mergeable = !item.stale && item.completion.is_none();
-        // `Err`: ships verbatim (a snapshot, or a durable-ack/stale item).
-        let mut part = if mergeable {
-            changeset_of(item.delta)
-        } else {
-            Err(item.delta)
-        };
-        if let Some(&idx) = open.get(&policy).filter(|_| mergeable) {
-            let run = &mut out[idx];
-            part = match (part, &mut run.body) {
-                (Ok(more), ShipBody::Merged { changes, token, .. }) => {
-                    *token = tail;
-                    changes.merge(more);
-                    run.mutations += 1;
-                    continue;
-                }
-                (Err(snapshot), ShipBody::Verbatim(prev)) if !prev.is_incremental() => {
-                    *prev = snapshot; // later snapshot supersedes
-                    run.mutations += 1;
-                    continue;
-                }
-                (part, _) => part,
-            };
-        }
-        let body = match part {
-            Ok(changes) => ShipBody::Merged {
-                policy: policy.clone(),
-                changes,
-                parent,
-                token: tail,
-            },
-            Err(delta) => ShipBody::Verbatim(delta),
-        };
-        let idx = out.len();
-        out.push(Shipment {
-            body,
-            mutations: 1,
-            stale: item.stale,
-            completions: item.completion.into_iter().collect(),
-        });
-        if mergeable {
-            open.insert(policy, idx);
-        } else {
-            open.remove(&policy);
-        }
-    }
-    out
 }
 
 /// The replica-group state shared between the request path and the
@@ -1438,16 +1160,15 @@ impl GroupCore {
     }
 
     /// Delivers one popped window — every item of it has arrived — to
-    /// follower `k`: accounts the flush, coalesces, **stages** every
-    /// shipment in queue order and only then **redeems** the tickets —
-    /// the first leads one sync covering the window, the rest find it
-    /// flushed. `applied` and the completions
-    /// move behind each ticket's verdict, so an ack still means "durable
-    /// on this follower"; a failed stage or verdict demotes it and
-    /// resolves `false`. `dropped` consumes the transfer on the wire
+    /// follower `k`: accounts the flush, **stages** every delta in queue
+    /// order and only then **redeems** the tickets — the first leads one
+    /// sync covering the window, the rest find it flushed. `applied` and
+    /// the completions move behind each ticket's verdict, so an ack means
+    /// "durable on this follower"; a failed stage or verdict demotes it
+    /// and resolves `false`. `dropped` consumes the transfer on the wire
     /// ([`FaultKind::DropBatch`]): nothing arrives, nobody is demoted,
     /// and the resulting chain gap must surface at the next delivery.
-    /// Returns the mutations actually delivered (0 for a dropped batch).
+    /// Returns the mutations actually delivered (0 for a dropped window).
     fn deliver_batch(
         &self,
         follower: &Replica,
@@ -1457,37 +1178,31 @@ impl GroupCore {
         reason: FlushReason,
     ) -> u64 {
         self.telemetry.count_flush(reason);
-        let shipments = coalesce(items);
+        let mutations = items.len() as u64;
         if dropped {
-            let mutations: u64 = shipments.iter().map(|s| s.mutations).sum();
             self.flight.record(EventKind::BatchDrop {
                 shard: self.shard,
                 replica: k,
                 mutations,
             });
-            for s in shipments {
-                for c in s.completions {
-                    c.resolve(false);
-                }
+            for item in items {
+                item.completion.resolve(false);
             }
             return 0;
         }
-        let mut delivered = 0u64;
-        let mut staged = Vec::with_capacity(shipments.len());
-        for shipment in shipments {
-            let (delta, mutations, stale, completions) = shipment.build();
-            let ticket = if stale {
-                Ok(self.stage_stale(follower, k, &delta))
+        self.telemetry.count_batches(mutations);
+        let mut staged = Vec::with_capacity(items.len());
+        for item in items {
+            let ticket = if item.stale {
+                Ok(self.stage_stale(follower, k, &item.delta))
             } else {
-                self.stage(follower, k, &delta).map(Some)
+                self.stage(follower, k, &item.delta).map(Some)
             };
-            self.telemetry.count_batch(mutations);
-            delivered += mutations;
-            staged.push((delta.policy, delta.token, ticket, completions));
+            staged.push((item.delta.policy, item.delta.token, ticket, item.completion));
         }
         // `Ok(None)` is a refused stale delta: nothing staged, nothing to
         // advance, and — as ever — no demotion.
-        for (policy, token, ticket, completions) in staged {
+        for (policy, token, ticket, completion) in staged {
             let ok = match ticket.and_then(|t| Ok(t.map(CommitTicket::wait).transpose()?)) {
                 Ok(durable) => {
                     if durable.is_some() {
@@ -1502,31 +1217,26 @@ impl GroupCore {
                     false
                 }
             };
-            for c in completions {
-                c.resolve(ok);
-            }
+            completion.resolve(ok);
         }
-        delivered
+        mutations
     }
 }
 
-/// The per-follower background sender: waits for queued deltas, batches
-/// a flush window in [`AckMode::Windowed`] (durable items were sent at
-/// enqueue), sends what is still unsent, waits — holding `queue` only —
-/// for the head to arrive, and delivers everything that has arrived under
-/// the pipe's delivery lock so fence drains stay atomic with in-flight
-/// deliveries. While one window syncs the next is already travelling, so
-/// a busy channel cycles once per follower sync, not per wire + sync.
+/// The per-follower background sender: waits for queued deltas, waits —
+/// holding `queue` only — for the head to arrive, and delivers everything
+/// that has arrived under the pipe's delivery lock so fence drains stay
+/// atomic with in-flight deliveries. While one window syncs the next is
+/// already travelling, so a busy channel cycles once per follower sync,
+/// not per wire + sync.
 fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Arc<Replica>) {
     loop {
-        let reason = {
+        {
             let mut q = pipe.queue.lock().unwrap();
             loop {
                 if q.shutdown {
                     for item in q.items.drain(..) {
-                        if let Some(c) = item.completion {
-                            c.resolve(false);
-                        }
+                        item.completion.resolve(false);
                     }
                     return;
                 }
@@ -1535,64 +1245,29 @@ fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Ar
                 }
                 q = pipe.ready.wait(q).unwrap();
             }
-            let window = core.config.flush_window();
-            let cap = core.config.window_cap();
-            let durable_queued = |q: &PipeQueue| q.items.iter().any(|i| i.completion.is_some());
-            let reason = if window.is_zero() || durable_queued(&q) {
-                FlushReason::Durable
-            } else {
-                // Windowed accumulation: batch until the timer elapses,
-                // the cap fills, or a durable item demands a flush.
-                let deadline = Instant::now() + window;
-                let mut reason = FlushReason::Timer;
-                loop {
-                    if q.shutdown || q.stalled {
-                        break;
-                    }
-                    if q.items.len() >= cap {
-                        reason = FlushReason::WindowFull;
-                        break;
-                    }
-                    if durable_queued(&q) {
-                        reason = FlushReason::Durable;
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _) = pipe.ready.wait_timeout(q, deadline - now).unwrap();
-                    q = guard;
-                }
-                reason
-            };
-            // The window is closed: what it accumulated leaves now, and
-            // the head's transit is waited out on the condvar — a fence
+            // The head's transit is waited out on the condvar — a fence
             // (or shutdown, or a stall) may take over meanwhile.
-            q.send_all(core.config.forward_latency());
             while !(q.shutdown || q.stalled) {
                 let Some(wait) = q
                     .items
                     .front()
-                    .and_then(|head| head.arrives)
-                    .map(|at| at.saturating_duration_since(Instant::now()))
+                    .map(|head| head.arrives.saturating_duration_since(Instant::now()))
                     .filter(|wait| !wait.is_zero())
                 else {
                     break;
                 };
                 q = pipe.ready.wait_timeout(q, wait).unwrap().0;
             }
-            reason
-        };
+        }
         // Queue lock released; take delivery → queue (the lock order the
-        // fence drain also follows) and ship whatever has arrived — a
+        // fence drain also follows) and deliver whatever has arrived — a
         // racing fence may have drained it already.
         let _delivery = pipe.delivery.lock().unwrap();
         let (items, dropped) = pipe.pop_arrived(false);
         if items.is_empty() {
             continue;
         }
-        core.deliver_batch(&follower, k, items, dropped, reason);
+        core.deliver_batch(&follower, k, items, dropped, FlushReason::Durable);
     }
 }
 
@@ -1685,10 +1360,10 @@ impl ReplicaSet {
 
     /// Fences and drains every follower channel: delivers everything
     /// queued (atomically w.r.t. in-flight sender deliveries) before
-    /// returning, so "drained" means *applied*, not just dequeued. What
-    /// is still unsent is sent now, and only the residual transit of the
-    /// newest queued item is waited out (nothing enqueues meanwhile — the
-    /// caller's `forward_lock` — so afterwards everything has arrived).
+    /// returning, so "drained" means *applied*, not just dequeued. Only
+    /// the residual transit of the newest queued item is waited out
+    /// (nothing enqueues meanwhile — the caller's `forward_lock` — so
+    /// afterwards everything has arrived).
     /// Returns the mutations the drain delivered, recording a
     /// [`EventKind::FenceDrain`] per non-empty channel. Caller holds
     /// `forward_lock`.
@@ -1700,12 +1375,7 @@ impl ReplicaSet {
                 continue; // nobody to deliver to; reinstate clears it
             }
             let _delivery = pipe.delivery.lock().unwrap();
-            let landed = pipe
-                .queue
-                .lock()
-                .unwrap()
-                .send_all(self.config.forward_latency());
-            if let Some(at) = landed {
+            if let Some(at) = pipe.last_arrival() {
                 std::thread::sleep(at.saturating_duration_since(Instant::now()));
             }
             let (items, dropped) = pipe.pop_arrived(ignore_stall);
@@ -1725,19 +1395,6 @@ impl ReplicaSet {
             }
         }
         total
-    }
-
-    /// How full the fullest live forward channel is, as a fraction of the
-    /// flush-window cap. A channel past 1.0 means its sender cannot keep
-    /// up with the enqueue rate (stalled, wedged, or simply outpaced).
-    fn pipe_saturation(&self) -> f64 {
-        let cap = self.config.window_cap().max(1) as f64;
-        self.pipes
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| !self.replicas[*k].is_quarantined())
-            .map(|(_, pipe)| pipe.depth() as f64 / cap)
-            .fold(0.0, f64::max)
     }
 
     fn primary_idx(&self) -> usize {
@@ -1817,11 +1474,11 @@ impl ReplicaSet {
     /// through the entire failover window.
     fn depose_locked(&self, idx: usize, reason: String) -> Option<usize> {
         let moved = if self.primary.load(Ordering::Acquire) == idx {
-            // Fence + drain before the election: every queued batch —
+            // Fence + drain before the election: every queued delta —
             // stalled channels included — reaches its follower now, so
-            // any enqueue-acked write is on the electorate and nothing
-            // of the deposed primary's reign stays queued to clobber
-            // the successor later.
+            // any write parked on its ack is on the electorate and
+            // nothing of the deposed primary's reign stays queued to
+            // clobber the successor later.
             let fence_drained = self.drain_pipes(true);
             let winner = self.elect(idx).inspect(|&new| {
                 self.primary.store(new, Ordering::Release);
@@ -2279,7 +1936,7 @@ fn repair_policy(
                 return Ok(None);
             }
             if digests_equal() {
-                // The bytes are there (a coalesced window or a snapshot
+                // The bytes are there (a redelivered window or a snapshot
                 // catch-up carried them); only the chain position lags.
                 follower.engine().advance_policy_cursor(policy, tail);
                 "cursor_advance"
@@ -2383,10 +2040,8 @@ pub struct ClusterRouter {
     /// Where reads land within a replica group (encoded [`ReadPreference`];
     /// an atomic so the read hot path never takes a lock).
     read_preference: AtomicU8,
-    /// What the forward path ships (encoded [`ReplicationMode`]).
-    replication_mode: AtomicU8,
-    /// Knobs of the pipelined forward path, shared with every group's
-    /// sender threads.
+    /// The modelled wire of the pipelined forward path, shared with every
+    /// group.
     pipeline: Arc<PipelineConfig>,
     /// Deterministic fault schedule (test builds); `None` in production.
     fault_plan: Mutex<Option<Arc<FaultPlan>>>,
@@ -2423,7 +2078,6 @@ impl ClusterRouter {
             rebalances: AtomicU64::new(0),
             rebalance_gate: Mutex::new(()),
             read_preference: AtomicU8::new(0),
-            replication_mode: AtomicU8::new(0),
             pipeline: Arc::new(PipelineConfig::default()),
             fault_plan: Mutex::new(None),
             fault_armed: AtomicBool::new(false),
@@ -2466,60 +2120,9 @@ impl ClusterRouter {
         }
     }
 
-    /// Switches what the forward path ships (default:
-    /// [`ReplicationMode::Incremental`]).
-    pub fn set_replication_mode(&self, mode: ReplicationMode) {
-        let code = match mode {
-            ReplicationMode::Incremental => 0,
-            ReplicationMode::Snapshot => 1,
-        };
-        self.replication_mode.store(code, Ordering::Release);
-    }
-
-    /// The current forwarding mode.
-    pub fn replication_mode(&self) -> ReplicationMode {
-        match self.replication_mode.load(Ordering::Acquire) {
-            0 => ReplicationMode::Incremental,
-            _ => ReplicationMode::Snapshot,
-        }
-    }
-
-    /// Switches when replicated mutations acknowledge (default:
-    /// [`AckMode::Durable`] — today's synchronous semantics).
-    pub fn set_ack_mode(&self, mode: AckMode) {
-        let code = match mode {
-            AckMode::Durable => 0,
-            AckMode::Windowed => 1,
-        };
-        self.pipeline.mode.store(code, Ordering::Release);
-    }
-
-    /// The current acknowledgement mode.
-    pub fn ack_mode(&self) -> AckMode {
-        self.pipeline.ack_mode()
-    }
-
-    /// Sets the windowed-mode flush window: how long a sender accumulates
-    /// queued deltas before shipping them as one batch. Zero ships every
-    /// enqueue immediately (still off the ack path).
-    pub fn set_flush_window(&self, window: Duration) {
-        self.pipeline
-            .window_micros
-            .store(window.as_micros() as u64, Ordering::Release);
-    }
-
-    /// Caps how many queued mutations one flush covers before the window
-    /// timer fires (default 64).
-    pub fn set_flush_window_cap(&self, cap: usize) {
-        self.pipeline
-            .window_cap
-            .store(cap.max(1), Ordering::Release);
-    }
-
     /// Sets a modelled one-way wire latency: every delta arrives this long
-    /// after it was sent (durable deltas at enqueue, windowed ones when
-    /// their flush window closes) and is never staged on a follower
-    /// earlier. Transits overlap each other and the syncs on either end.
+    /// after its enqueue and is never staged on a follower earlier.
+    /// Transits overlap each other and the syncs on either end.
     /// Zero (the default) disables it; benches use it to price the wire.
     pub fn set_forward_latency(&self, latency: Duration) {
         self.pipeline
@@ -2929,29 +2532,23 @@ impl ClusterRouter {
         Ok(())
     }
 
-    /// Quorum-read placement: rotates round-robin across the group and
-    /// serves from the first follower that is in the write quorum **and**
-    /// freshness-checked at two granularities — its applied counter token
-    /// must have reached the group watermark, *and* its chain cursor for
-    /// the specific policy being read must match the group's chain tail
-    /// (the global token alone can mask a silently lost delta for one
-    /// policy once a later delta for another policy advances it) — so a
-    /// lagging or rolled-back follower is never read. `None` hands the
-    /// read to the primary path instead (the primary's own slot in the
-    /// rotation, no eligible follower, or a follower-side error such as a
-    /// board-approval nonce that only the primary holds).
-    fn try_follower_read(
+    /// Quorum placement, shared by reads and attestation: rotates
+    /// round-robin across the group and picks the first follower that is in
+    /// the write quorum **and** freshness-checked at two granularities —
+    /// its applied counter token must have reached the group watermark,
+    /// *and* its chain cursor for the specific policy the request touches
+    /// must match the group's chain tail (the global token alone can mask a
+    /// silently lost delta for one policy once a later delta for another
+    /// policy advances it) — so a lagging or rolled-back follower is never
+    /// picked. `None` hands the request to the primary path instead: the
+    /// primary's own slot in the rotation (which keeps the load spread even
+    /// across all R replicas), or no eligible follower.
+    fn fresh_follower(
         &self,
         group: &ReplicaSet,
         request: &TmsRequest,
         local: Option<SessionId>,
-    ) -> Option<TmsResponse> {
-        // Approval-carrying reads consume a single-use nonce; a follower
-        // burning its mirrored copy would diverge the round state from
-        // the primary's, so those always seat on the primary.
-        if approval_nonce(request).is_some() {
-            return None;
-        }
+    ) -> Option<usize> {
         let pidx = group.primary_idx();
         let watermark = group.watermark.load(Ordering::Acquire);
         let n = group.replicas.len();
@@ -2960,8 +2557,6 @@ impl ClusterRouter {
             let k = (start + off) % n;
             if k == pidx {
                 if off == 0 {
-                    // The primary's own slot in the rotation keeps the
-                    // load spread even across all R replicas.
                     return None;
                 }
                 // Mid-scan (an earlier follower was skipped): prefer any
@@ -2981,81 +2576,61 @@ impl ClusterRouter {
                     .fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let req = match local {
-                Some(l) => localize_session(request.clone(), l),
-                None => request.clone(),
-            };
-            match follower.server.handle(req) {
-                Ok(response) => {
-                    group
-                        .telemetry
-                        .reads_follower
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Some(response);
-                }
-                // Defensive: a follower-side failure falls back to the
-                // primary rather than guessing which errors are benign.
-                Err(_) => return None,
-            }
+            return Some(k);
         }
         None
     }
 
-    /// Quorum attestation placement: like [`Self::try_follower_read`],
-    /// but for `AttestService`. Every replica allocates session ids from
-    /// its own residue class (domain `k+1`, stride [`SESSION_ID_STRIDE`])
-    /// so a follower-seated attestation cannot collide with one seated
-    /// anywhere else in the group, and the resulting session is mirrored
-    /// group-wide exactly as primary-seated ones are. `None` hands the
-    /// attestation to the primary path.
-    fn try_follower_attest(&self, group: &ReplicaSet, request: &TmsRequest) -> Option<TmsResponse> {
-        let pidx = group.primary_idx();
-        let watermark = group.watermark.load(Ordering::Acquire);
-        let n = group.replicas.len();
-        let start = group.read_cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for off in 0..n {
-            let k = (start + off) % n;
-            if k == pidx {
-                if off == 0 {
-                    // The primary's own slot keeps attestation load spread
-                    // evenly across all R replicas.
-                    return None;
-                }
-                continue;
-            }
-            let follower = &group.replicas[k];
-            if !follower.is_in_quorum() {
-                continue;
-            }
-            // Attestation reads the policy being attested (quote checks,
-            // secret material, export scans), so the follower must be
-            // fresh for that policy's chain just like a quorum read.
-            if follower.applied.load(Ordering::Acquire) < watermark
-                || !self.policy_chain_fresh(group, follower, request, None)
-            {
-                group
-                    .telemetry
-                    .freshness_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match follower.server.handle(request.clone()) {
-                Ok(response) => {
-                    if let TmsResponse::Config(config) = &response {
-                        group.mirror_session(k, config.session);
-                    }
-                    group
-                        .telemetry
-                        .attests_follower
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Some(response);
-                }
-                // Fall back to the primary rather than guessing which
-                // follower-side errors are benign.
-                Err(_) => return None,
-            }
+    /// Quorum-read placement: serves the read from
+    /// [`Self::fresh_follower`]'s pick. `None` hands it to the primary
+    /// path (no pick, or a follower-side error such as a board-approval
+    /// nonce that only the primary holds — falling back rather than
+    /// guessing which errors are benign).
+    fn try_follower_read(
+        &self,
+        group: &ReplicaSet,
+        request: &TmsRequest,
+        local: Option<SessionId>,
+    ) -> Option<TmsResponse> {
+        // Approval-carrying reads consume a single-use nonce; a follower
+        // burning its mirrored copy would diverge the round state from
+        // the primary's, so those always seat on the primary.
+        if approval_nonce(request).is_some() {
+            return None;
         }
-        None
+        let k = self.fresh_follower(group, request, local)?;
+        let req = match local {
+            Some(l) => localize_session(request.clone(), l),
+            None => request.clone(),
+        };
+        let response = group.replicas[k].server.handle(req).ok()?;
+        group
+            .telemetry
+            .reads_follower
+            .fetch_add(1, Ordering::Relaxed);
+        Some(response)
+    }
+
+    /// Quorum attestation placement: like [`Self::try_follower_read`],
+    /// but for `AttestService` — which reads the policy being attested
+    /// (quote checks, secret material, export scans), hence the same
+    /// freshness bar. Every replica allocates session ids from its own
+    /// residue class (domain `k+1`, stride [`SESSION_ID_STRIDE`]) so a
+    /// follower-seated attestation cannot collide with one seated anywhere
+    /// else in the group, and the resulting session is mirrored group-wide
+    /// exactly as primary-seated ones are. `None` hands the attestation to
+    /// the primary path.
+    fn try_follower_attest(&self, group: &ReplicaSet, request: &TmsRequest) -> Option<TmsResponse> {
+        let k = self.fresh_follower(group, request, None)?;
+        let response = group.replicas[k].server.handle(request.clone()).ok()?;
+        if let TmsResponse::Config(config) = &response {
+            group.mirror_session(k, config.session);
+        }
+        group
+            .telemetry
+            .attests_follower
+            .fetch_add(1, Ordering::Relaxed);
+        Some(response)
     }
 
     /// Per-policy freshness: the follower's chain cursor for the policy
@@ -3101,16 +2676,14 @@ impl ClusterRouter {
     ///
     /// The forward lock covers only seat-check + capture-drain + chain
     /// assignment + enqueue, so independent mutations of one shard
-    /// pipeline concurrently. [`AckMode::Durable`] then blocks (lock
-    /// released) until every enqueued delivery resolves — all waits share
-    /// one [`ACK_WAIT_CAP`] deadline — and acknowledges at write quorum of
-    /// *applied* replicas; [`AckMode::Windowed`] acknowledges at
-    /// enqueue-under-quorum. In [`ReplicationMode::Incremental`] the delta
-    /// carries only what the mutation changed (the engine's captured
-    /// [`ChangeSet`]), chained onto the policy's previous token; a
-    /// follower whose chain does not match is resynced on the spot with a
-    /// snapshot delta. Consults the fault plan at the three injection
-    /// sites.
+    /// pipeline concurrently. The call then blocks (lock released) until
+    /// every enqueued delivery resolves — all waits share one
+    /// [`ACK_WAIT_CAP`] deadline — and acknowledges at write quorum of
+    /// *durable* replicas. The delta carries only what the mutation
+    /// changed (the engine's captured [`ChangeSet`]), chained onto the
+    /// policy's previous token; a follower whose chain does not match is
+    /// resynced on the spot with a snapshot delta. Consults the fault plan
+    /// at the three injection sites.
     ///
     /// **Freshness token:** still `max(primary counter value, watermark +
     /// 1)`. The counter value is now read *before* this mutation's own
@@ -3132,7 +2705,6 @@ impl ClusterRouter {
         redeem: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         let primary = &group.replicas[pidx];
-        let durable = group.config.ack_mode() == AckMode::Durable;
         // Deliveries this mutation is waiting on: (completion, whether it
         // counts toward the quorum — stale redeliveries do not).
         let mut waits: Vec<(Arc<Completion>, bool)> = Vec::new();
@@ -3186,19 +2758,14 @@ impl ClusterRouter {
             // own cursor in step so chain completeness (the election
             // fitness check) is comparable across every replica.
             primary.engine().advance_policy_cursor(policy, token);
-            let delta = match self.replication_mode() {
-                // A racing forward may have drained this mutation's
-                // changes already (they rode the earlier delta); an empty
-                // incremental still advances the chain.
-                ReplicationMode::Incremental => {
-                    PolicyDelta::incremental(policy, changes.unwrap_or_default(), token, parent)
-                }
-                ReplicationMode::Snapshot => primary.engine().export_policy_snapshot(policy, token),
-            };
-            // A durable delta goes on the wire now (stamped under the
-            // lock, so deadlines are queue-ordered); a windowed one when
-            // its sender's flush window closes.
-            let arrives = durable.then(|| Instant::now() + group.config.forward_latency());
+            // A racing forward may have drained this mutation's changes
+            // already (they rode the earlier delta); an empty incremental
+            // still advances the chain.
+            let delta =
+                PolicyDelta::incremental(policy, changes.unwrap_or_default(), token, parent);
+            // The delta goes on the wire now (stamped under the lock, so
+            // deadlines are queue-ordered).
+            let arrives = Instant::now() + group.config.forward_latency();
             for (k, follower) in group.replicas.iter().enumerate() {
                 if k == pidx || follower.is_quarantined() {
                     continue;
@@ -3207,14 +2774,15 @@ impl ClusterRouter {
                     let faults = plan.take(id, op, FaultSite::ForwardTo(k));
                     if faults.contains(&FaultKind::StallForwardChannel(k)) {
                         // The channel wedges *before* this enqueue: the
-                        // delta queues behind a stalled sender. Enqueues
-                        // still count — a network stall is invisible to
-                        // the router — and fence drains deliver anyway.
+                        // delta queues behind a stalled sender and its
+                        // mutation parks on the verdict — a network stall
+                        // is invisible to the router — until a fence drain
+                        // delivers anyway.
                         group.pipes[k].set_stalled();
                     }
                     if faults.contains(&FaultKind::DropBatch(k)) {
-                        // The next batch shipped on this channel vanishes
-                        // on the wire, silently.
+                        // The next window delivered on this channel
+                        // vanishes on the wire, silently.
                         group.pipes[k].set_drop_next();
                     }
                     if faults.contains(&FaultKind::DropForwardToReplica(k)) {
@@ -3240,18 +2808,14 @@ impl ClusterRouter {
                 if !follower.in_quorum.load(Ordering::Acquire) {
                     continue; // lagging — must catch up before rejoining
                 }
-                let completion = durable.then(Completion::new);
+                let completion = Completion::new();
                 group.pipes[k].push(QueuedForward {
                     delta: delta.clone(),
                     arrives,
-                    completion: completion.clone(),
+                    completion: Arc::clone(&completion),
                     stale: false,
                 });
-                match completion {
-                    Some(c) => waits.push((c, true)),
-                    // Windowed: enqueue-under-quorum IS the ack.
-                    None => acked += 1,
-                }
+                waits.push((completion, true));
                 // A delta the injector held back arrives now, out of
                 // order — queued behind its successor on the same
                 // channel. Cross-policy it is merely late (its own chain
@@ -3264,16 +2828,14 @@ impl ClusterRouter {
                     None
                 };
                 if let Some(stale) = stale {
-                    let completion = durable.then(Completion::new);
+                    let completion = Completion::new();
                     group.pipes[k].push(QueuedForward {
                         delta: stale,
                         arrives,
-                        completion: completion.clone(),
+                        completion: Arc::clone(&completion),
                         stale: true,
                     });
-                    if let Some(c) = completion {
-                        waits.push((c, false));
-                    }
+                    waits.push((completion, false));
                 }
             }
             Ok((op, plan))
@@ -3285,8 +2847,8 @@ impl ClusterRouter {
         let local = redeem();
         let (op, plan) = enqueued?;
         let response = local?;
-        // Durable callers wait out what is left of their deliveries,
-        // while other policies' mutations enqueue concurrently.
+        // Wait out what is left of the deliveries, while other policies'
+        // mutations enqueue concurrently.
         let quorum_wait = trace::start();
         let deadline = Instant::now() + ACK_WAIT_CAP;
         for (completion, counts) in waits {
@@ -3307,9 +2869,7 @@ impl ClusterRouter {
             for kind in plan.take(id, op, FaultSite::AfterQuorum) {
                 match kind {
                     FaultKind::CrashAfterQuorum => {
-                        // The write is quorum-acked — in windowed mode
-                        // possibly still queued; the fence drain inside
-                        // the deposition delivers it, so the failover
+                        // The write is quorum-acked, so the failover
                         // election must (and does) preserve it.
                         group.quarantine_replica(
                             pidx,
@@ -3763,13 +3323,10 @@ impl ClusterRouter {
             }
             let seat = &group.replicas[pidx];
             let healthy = !seat.is_quarantined();
-            let pipe_saturation = group.pipe_saturation();
             out.push(ShardHealth {
                 id,
                 healthy,
                 reason: seat.reason.lock().clone(),
-                pipe_saturation,
-                degraded: healthy && pipe_saturation >= DEGRADED_SATURATION,
                 replicas,
             });
         }
@@ -3886,8 +3443,8 @@ impl ClusterRouter {
     /// compared against the primary's, and divergence is healed *now*
     /// instead of at the next mutation's chain check:
     ///
-    /// * equal digests with a lagging cursor (a coalesced or redelivered
-    ///   window already carried the bytes): the cursor is advanced;
+    /// * equal digests with a lagging cursor (a redelivered window
+    ///   already carried the bytes): the cursor is advanced;
     /// * differing digests with a usable cursor: a **cursor-bounded
     ///   delta resend** — a record-level diff shipped as an incremental
     ///   chained onto the follower's actual cursor;
@@ -4103,7 +3660,6 @@ impl ClusterRouter {
                         failovers: group.failovers.load(Ordering::Relaxed),
                         replication: group.telemetry.snapshot(),
                         queue_depths: group.pipes.iter().map(|p| p.depth()).collect(),
-                        pipe_saturation: group.pipe_saturation(),
                     }
                 })
                 .collect(),
@@ -4722,36 +4278,31 @@ mod tests {
         create_policy(&router, "inc-0");
         let session = attest(&router, &platform, "inc-0");
 
-        assert_eq!(router.replication_mode(), ReplicationMode::Incremental);
         let before = router.stats().shards[0].replication;
         for i in 0..8 {
             push(&router, session, i);
         }
-        let after_inc = router.stats().shards[0].replication;
-        let inc_deltas = after_inc.incremental_deltas - before.incremental_deltas;
-        let inc_bytes = after_inc.incremental_bytes - before.incremental_bytes;
+        let after = router.stats().shards[0].replication;
+        let inc_deltas = after.incremental_deltas - before.incremental_deltas;
+        let inc_bytes = after.incremental_bytes - before.incremental_bytes;
         assert_eq!(inc_deltas, 8, "one incremental per push per follower");
+        assert_eq!(after.snapshot_deltas, before.snapshot_deltas);
         assert_eq!(
-            after_inc.snapshot_resyncs, 0,
+            after.snapshot_resyncs, 0,
             "a clean run never needs a resync"
         );
 
-        router.set_replication_mode(ReplicationMode::Snapshot);
-        for i in 8..16 {
-            push(&router, session, i);
-        }
-        let after_snap = router.stats().shards[0].replication;
-        let snap_deltas = after_snap.snapshot_deltas - after_inc.snapshot_deltas;
-        let snap_bytes = after_snap.snapshot_bytes - after_inc.snapshot_bytes;
-        assert_eq!(snap_deltas, 8);
+        // What the same eight pushes would have shipped as full snapshots
+        // (the resync form), built directly from the primary's records.
+        let engines = router.replica_engines(id);
+        let token = router.replica_status(id).unwrap().replicas[0].applied;
+        let snapshot = engines[0].export_policy_snapshot("inc-0", token);
+        let snap_bytes = 8 * snapshot.wire_size() as u64;
         assert!(
             inc_bytes * 3 < snap_bytes,
             "a tag push must ship far fewer bytes incrementally \
              ({inc_bytes} B) than as a snapshot ({snap_bytes} B)"
         );
-
-        // Both forms converged to the same records.
-        let engines = router.replica_engines(id);
         assert_eq!(
             engines[0].export_policy_records("inc-0"),
             engines[1].export_policy_records("inc-0")
@@ -5900,91 +5451,117 @@ mod tests {
         rig.assert_converged();
     }
 
-    /// A fence drain delivers what is still on the wire: quarantining the
-    /// primary with windowed, enqueue-acked deltas queued and not yet
-    /// arrived loses none of them, honours their transit, and leaves every
-    /// channel empty.
-    #[test]
-    fn fence_drain_delivers_deltas_still_in_transit() {
-        const POLICIES: usize = 4;
-        const ROUNDS: u8 = 4;
-        const WIRE: Duration = Duration::from_millis(200);
-        let rig = DeviceGroup::new(2, POLICIES);
-        rig.router.set_ack_mode(AckMode::Windowed);
-        rig.router.set_flush_window(Duration::from_millis(1));
-        rig.router.set_forward_latency(WIRE);
-        let first = Instant::now();
-        let mut last = first;
-        for seq in 1..=ROUNDS {
-            for p in 0..POLICIES {
-                last = Instant::now();
-                rig.push(p, seq).unwrap();
-            }
-        }
-        assert!(
-            first.elapsed() < WIRE,
-            "the writes must still be in transit"
-        );
-        let outcome = rig.router.quarantine(rig.id, "pulled mid-transit");
-        assert!(
-            last.elapsed() >= WIRE,
-            "the fence staged a delta before its transit elapsed"
-        );
-        assert!(matches!(
-            outcome,
-            Some(QuarantineOutcome::FailedOver { .. })
-        ));
-        for k in 0..3 {
-            assert_eq!(rig.pipe(k).depth(), 0, "channel {k} not drained");
-        }
-        for p in 0..POLICIES {
+    /// Starts one awaited push per policy on scoped threads, waits until
+    /// `parked` holds, checks that no push has returned, runs `fence`, and
+    /// only then joins the pushes — each must have been released with
+    /// `Ok`. Returns when the last push began.
+    fn fence_parked_pushes(
+        rig: &DeviceGroup,
+        seq: u8,
+        parked: impl Fn() -> bool,
+        fence: impl FnOnce(),
+    ) -> Instant {
+        std::thread::scope(|scope| {
+            let pushes: Vec<_> = (0..rig.names.len())
+                .map(|p| {
+                    scope.spawn(move || {
+                        let began = Instant::now();
+                        rig.push(p, seq).map(|_| began)
+                    })
+                })
+                .collect();
+            wait_for(parked);
+            assert!(
+                pushes.iter().all(|push| !push.is_finished()),
+                "a push acked while an in-quorum follower's verdict was outstanding"
+            );
+            fence();
+            pushes
+                .into_iter()
+                .map(|push| push.join().unwrap().expect("the fence releases with Ok"))
+                .max()
+                .expect("at least one policy")
+        })
+    }
+
+    /// Every policy's tag, as the group serves it now, is push `seq`.
+    fn assert_serves(rig: &DeviceGroup, seq: u8) {
+        for p in 0..rig.names.len() {
             let read = rig.router.handle(TmsRequest::ReadTag {
                 session: rig.sessions[p],
                 volume: "data".into(),
             });
             match read.unwrap() {
                 TmsResponse::Tag(Some(rec)) => {
-                    assert_eq!(rec.tag, DeviceGroup::tag(p, ROUNDS), "acked write lost")
+                    assert_eq!(rec.tag, DeviceGroup::tag(p, seq), "acked write lost")
                 }
                 other => panic!("expected the acked tag, got {other:?}"),
             }
         }
     }
 
-    /// Windowed deltas are sent when their flush window closes, not at
-    /// enqueue, so a wire longer than the window does not split the runs:
-    /// each wire transfer still carries more than one mutation.
+    /// A fence drain delivers what is still on the wire: quarantining the
+    /// primary while four pushes are parked on deltas that have not yet
+    /// arrived loses none of them, honours their transit, releases every
+    /// writer with `Ok`, and leaves every channel empty.
     #[test]
-    fn windowed_runs_still_coalesce_under_a_wire() {
-        const WRITERS: usize = 4;
-        const PUSHES: u8 = 50;
-        let rig = DeviceGroup::new(2, WRITERS);
-        rig.router.set_ack_mode(AckMode::Windowed);
-        rig.router.set_flush_window(Duration::from_millis(1));
-        rig.router.set_forward_latency(Duration::from_millis(5));
-        let transfers = |r: &ReplicationStats| {
-            r.flushes_window_full + r.flushes_timer + r.flushes_fence + r.flushes_durable
-        };
-        let before = rig.router.stats().shards[0].replication;
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let rig = &rig;
-                scope.spawn(move || {
-                    for seq in 0..PUSHES {
-                        rig.push(w, seq).unwrap();
-                    }
-                });
-            }
-        });
-        assert!(rig.router.flush_replication(rig.id));
-        let after = rig.router.stats().shards[0].replication;
-        let shipped = after.mutations_shipped - before.mutations_shipped;
-        let transfers = transfers(&after) - transfers(&before);
-        assert_eq!(shipped, 2 * WRITERS as u64 * u64::from(PUSHES));
-        assert!(
-            shipped > transfers,
-            "{shipped} mutations over {transfers} wire transfers"
+    fn fence_drain_delivers_deltas_still_in_transit() {
+        const POLICIES: usize = 4;
+        const WIRE: Duration = Duration::from_millis(200);
+        let rig = DeviceGroup::new(2, POLICIES);
+        rig.router.set_forward_latency(WIRE);
+        let last = fence_parked_pushes(
+            &rig,
+            1,
+            || [1, 2].iter().all(|&k| rig.pipe(k).depth() == POLICIES),
+            || {
+                let outcome = rig.router.quarantine(rig.id, "pulled mid-transit");
+                assert!(matches!(
+                    outcome,
+                    Some(QuarantineOutcome::FailedOver { .. })
+                ));
+            },
         );
-        rig.assert_converged();
+        assert!(
+            last.elapsed() >= WIRE,
+            "the fence staged a delta before its transit elapsed"
+        );
+        for k in 0..3 {
+            assert_eq!(rig.pipe(k).depth(), 0, "channel {k} not drained");
+        }
+        assert_serves(&rig, 1);
+    }
+
+    /// One wedged follower parks every awaited writer — follower 1 holds
+    /// all four writes durably, yet none acks while follower 2's verdict is
+    /// outstanding — until a fence drains through the stall: all four then
+    /// return `Ok`, and the survivor that got them only through its wedged
+    /// pipe serves all four.
+    #[test]
+    fn a_stalled_follower_parks_awaited_writers_until_the_fence_and_loses_none() {
+        const POLICIES: usize = 4;
+        let rig = DeviceGroup::new(2, POLICIES);
+        let op = rig.router.replica_status(rig.id).unwrap().ops + 1;
+        let plan = FaultPlan::new([PlannedFault {
+            shard: rig.id,
+            op,
+            kind: FaultKind::StallForwardChannel(2),
+        }]);
+        rig.router.set_fault_plan(Arc::clone(&plan));
+        fence_parked_pushes(
+            &rig,
+            1,
+            || {
+                rig.pipe(2).depth() == POLICIES
+                    && (0..POLICIES).all(|p| rig.survives_crash(1, p, 1))
+            },
+            || assert!(rig.router.quarantine(rig.id, "chaos 1").is_some()),
+        );
+        assert!(plan.all_fired());
+        assert_eq!(rig.pipe(2).depth(), 0);
+        // The tie on freshness seated follower 1; pull it too.
+        assert!(rig.router.quarantine(rig.id, "chaos 2").is_some());
+        assert_eq!(rig.router.replica_status(rig.id).unwrap().primary, 2);
+        assert_serves(&rig, 1);
     }
 }

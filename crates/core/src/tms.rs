@@ -2408,6 +2408,7 @@ services:
             )
             .unwrap();
         let lost = primary.take_policy_changes("p1").unwrap(); // never forwarded
+        let stale = primary.export_policy_snapshot("p1", 3); // arrives late, below
         primary
             .push_tag(
                 config.session,
@@ -2439,9 +2440,11 @@ services:
             primary.export_policy_records("p1")
         );
         // Snapshots re-base *forward* only: a stale (older-token) snapshot
-        // must never purge newer records.
+        // — a resync delivered late, behind its successor — must never
+        // purge newer records or move the cursor back.
+        let before = follower.export_policy_records("p1");
         assert!(matches!(
-            follower.apply_policy_delta(&primary.export_policy_snapshot("p1", 3)),
+            follower.apply_policy_delta(&stale),
             Err(PalaemonError::DeltaOutOfSequence {
                 expected: 4,
                 got: 3,
@@ -2449,6 +2452,7 @@ services:
             })
         ));
         assert_eq!(follower.policy_cursor("p1"), Some(4));
+        assert_eq!(follower.export_policy_records("p1"), before);
 
         // A delete travels as tombstones and applies in place.
         let (_, owner) = client();

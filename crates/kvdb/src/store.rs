@@ -64,8 +64,7 @@ impl StdError for DbError {}
 
 const META_BLOB: &str = "db-meta";
 
-/// Default follower park quantum / leader-wait bound (matches the
-/// replication pipe's flush window).
+/// Follower park quantum / leader-wait bound of the group-commit window.
 pub const DEFAULT_FLUSH_WINDOW: Duration = Duration::from_millis(1);
 
 /// Window-failure verdicts retained for late [`CommitTicket::wait`] calls.
@@ -292,12 +291,20 @@ struct WalShared {
     window: Mutex<WindowState>,
     window_cv: Condvar,
     wal: Mutex<WalCore>,
-    flush_window: Duration,
     /// Committer park times, for `group_commit_wait_p99`.
     wait_hist: palaemon_telemetry::Histogram,
 }
 
 impl WalShared {
+    fn new(store: Box<dyn BlockStore>, key: AeadKey, meta: Meta) -> Arc<Self> {
+        Arc::new(WalShared {
+            window: Mutex::new(WindowState::default()),
+            window_cv: Condvar::new(),
+            wal: Mutex::new(WalCore { store, key, meta }),
+            wait_hist: palaemon_telemetry::Histogram::new(),
+        })
+    }
+
     /// Takes the open window (caller observed `!leader_running`), seals and
     /// flushes everything staged in it, posts the verdict and wakes the
     /// followers. Returns that verdict.
@@ -403,7 +410,7 @@ impl CommitTicket {
             // bounded latency, never a hang.
             st = shared
                 .window_cv
-                .wait_timeout(st, shared.flush_window)
+                .wait_timeout(st, DEFAULT_FLUSH_WINDOW)
                 .unwrap()
                 .0;
         }
@@ -495,31 +502,13 @@ impl Db {
     /// # Errors
     /// Propagates storage sync failures.
     pub fn create(store: Box<dyn BlockStore>, key: AeadKey) -> Result<Self, DbError> {
-        Db::create_with_window(store, key, DEFAULT_FLUSH_WINDOW)
-    }
-
-    /// [`Db::create`] with an explicit group-commit flush window.
-    ///
-    /// # Errors
-    /// Propagates storage sync failures.
-    pub fn create_with_window(
-        store: Box<dyn BlockStore>,
-        key: AeadKey,
-        flush_window: Duration,
-    ) -> Result<Self, DbError> {
         let meta = Meta {
             generation: 0,
             first_seq: 0,
             next_seq: 0,
         };
         let db = Db {
-            shared: Arc::new(WalShared {
-                window: Mutex::new(WindowState::default()),
-                window_cv: Condvar::new(),
-                wal: Mutex::new(WalCore { store, key, meta }),
-                flush_window,
-                wait_hist: palaemon_telemetry::Histogram::new(),
-            }),
+            shared: WalShared::new(store, key, meta),
             tree: Tree::new(),
             pending_buf: Vec::new(),
             pending_count: 0,
@@ -545,18 +534,6 @@ impl Db {
     /// Returns [`DbError::Corrupt`] when the snapshot, meta or any committed
     /// WAL batch fails authentication or decoding.
     pub fn open(store: Box<dyn BlockStore>, key: AeadKey) -> Result<Self, DbError> {
-        Db::open_with_window(store, key, DEFAULT_FLUSH_WINDOW)
-    }
-
-    /// [`Db::open`] with an explicit group-commit flush window.
-    ///
-    /// # Errors
-    /// As for [`Db::open`].
-    pub fn open_with_window(
-        store: Box<dyn BlockStore>,
-        key: AeadKey,
-        flush_window: Duration,
-    ) -> Result<Self, DbError> {
         let meta_raw = store
             .get(META_BLOB)
             .ok_or_else(|| DbError::Corrupt("meta missing".into()))?;
@@ -601,13 +578,7 @@ impl Db {
         }
 
         Ok(Db {
-            shared: Arc::new(WalShared {
-                window: Mutex::new(WindowState::default()),
-                window_cv: Condvar::new(),
-                wal: Mutex::new(WalCore { store, key, meta }),
-                flush_window,
-                wait_hist: palaemon_telemetry::Histogram::new(),
-            }),
+            shared: WalShared::new(store, key, meta),
             tree,
             pending_buf: Vec::new(),
             pending_count: 0,
@@ -760,7 +731,7 @@ impl Db {
                 drop(
                     self.shared
                         .window_cv
-                        .wait_timeout(st, self.shared.flush_window)
+                        .wait_timeout(st, DEFAULT_FLUSH_WINDOW)
                         .unwrap(),
                 );
                 continue;

@@ -20,11 +20,11 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use palaemon::cluster::{
-    kill_server_at, strict_shard, AckMode, ClusterError, ClusterRouter, FaultKind, FaultPlan,
-    PlannedFault, ReadPreference, ReplicationMode, ShardId,
+    kill_server_at, strict_shard, ClusterError, ClusterRouter, FaultKind, FaultPlan, PlannedFault,
+    ReadPreference, ShardId,
 };
 use palaemon::core::counterfile::{BatchedCounter, MemFileCounter};
 use palaemon::core::policy::Policy;
@@ -163,17 +163,14 @@ fn attest(router: &ClusterRouter, platform: &Platform, policy: &str) -> SessionI
 /// version older than the last acknowledged one, and after the dust
 /// settles every policy serves its last acked version. Runs under both
 /// read placements (primary-only, and quorum reads fanned across the
-/// freshness-checked followers) and both ack modes (synchronous durable
-/// forwards, and windowed background batching where the fence drain at
-/// deposition is what keeps queued acked writes alive).
-fn chaos_under_live_traffic(preference: ReadPreference, mode: AckMode) {
+/// freshness-checked followers).
+fn chaos_under_live_traffic(preference: ReadPreference) {
     const POLICIES: usize = 12;
     const READERS: usize = 3;
 
     let platform = Platform::new("fo-host", Microcode::PostForeshadow);
     let router = Arc::new(replicated_cluster(&platform, 2, 3, 2));
     router.set_read_preference(preference);
-    router.set_ack_mode(mode);
     let names: Vec<String> = (0..POLICIES).map(|i| format!("ha-{i}")).collect();
     for name in &names {
         create(&router, name, 1);
@@ -266,7 +263,7 @@ fn chaos_under_live_traffic(preference: ReadPreference, mode: AckMode) {
 
 #[test]
 fn quarantining_any_primary_under_live_traffic_loses_no_acked_writes() {
-    chaos_under_live_traffic(ReadPreference::Primary, AckMode::Durable);
+    chaos_under_live_traffic(ReadPreference::Primary);
 }
 
 /// Same chaos, but every read fans out across the quorum: the freshness
@@ -274,24 +271,7 @@ fn quarantining_any_primary_under_live_traffic_loses_no_acked_writes() {
 /// than acked" bar even while primaries are being pulled.
 #[test]
 fn quorum_reads_lose_no_acked_writes_under_chaos() {
-    chaos_under_live_traffic(ReadPreference::Quorum, AckMode::Durable);
-}
-
-/// The same chaos with forwards riding the windowed background channels:
-/// acks happen at local commit + enqueue, so the zero-loss bar now rests
-/// entirely on the fence drain at deposition flushing the queues before
-/// the election.
-#[test]
-fn windowed_pipeline_loses_no_acked_writes_under_chaos() {
-    chaos_under_live_traffic(ReadPreference::Primary, AckMode::Windowed);
-}
-
-/// Windowed batching and quorum reads together: a follower is only a read
-/// candidate while its applied token matches the watermark, so the batch
-/// lag must push reads back to the primary rather than serve stale data.
-#[test]
-fn windowed_quorum_reads_lose_no_acked_writes_under_chaos() {
-    chaos_under_live_traffic(ReadPreference::Quorum, AckMode::Windowed);
+    chaos_under_live_traffic(ReadPreference::Quorum);
 }
 
 /// An incremental delta lost on the wire *without the router noticing*
@@ -445,51 +425,6 @@ fn deleted_policy_does_not_block_failover_after_catch_up() {
         "the group must not go dark while a synced follower survives"
     );
     assert_eq!(read_version(&router, "alive"), 2);
-}
-
-/// Snapshot-mode reordering: a *snapshot* delta delivered late must be
-/// rejected by the token check — snapshots may re-base a replica's chain
-/// forward (resync, catch-up) but a stale one must never purge newer
-/// records and roll the follower back behind a fresh-looking token.
-#[test]
-fn reordered_snapshot_never_rolls_back() {
-    let platform = Platform::new("fo-host", Microcode::PostForeshadow);
-    let router = replicated_cluster(&platform, 1, 3, 2);
-    router.set_replication_mode(ReplicationMode::Snapshot);
-    let id = ShardId(0);
-    let plan = FaultPlan::new([PlannedFault {
-        shard: id,
-        op: 2,
-        kind: FaultKind::ReorderIncremental(2),
-    }]);
-    router.set_fault_plan(Arc::clone(&plan));
-
-    create(&router, "rs", 1); // op 1
-    update(&router, "rs", 2).unwrap(); // op 2: v2's snapshot held for follower 2
-    assert!(plan.all_fired());
-    // Op 3: follower 2 receives v3's snapshot first (a forward re-base —
-    // snapshots carry the full record set, so no resync is needed), then
-    // the stale v2 snapshot arrives late and must be refused outright.
-    update(&router, "rs", 3).unwrap();
-    let repl = router.stats().shards[0].replication;
-    assert!(
-        repl.sequence_rejections >= 1,
-        "the stale snapshot must be rejected by the token check: {repl:?}"
-    );
-    let engines = router.replica_engines(id);
-    let reference = engines[0].export_policy_records("rs");
-    for engine in &engines[1..] {
-        assert_eq!(
-            engine.export_policy_records("rs"),
-            reference,
-            "a late snapshot must never roll a follower back"
-        );
-    }
-    // The reorder victim, elected, serves v3 — not the stale v2.
-    assert!(router.quarantine(id, "chaos 1").is_some());
-    assert!(router.quarantine(id, "chaos 2").is_some());
-    assert_eq!(router.replica_status(id).unwrap().primary, 2);
-    assert_eq!(read_version(&router, "rs"), 3);
 }
 
 /// Crash-after-quorum: the write was acknowledged, so the failover must
@@ -974,94 +909,130 @@ fn approval_round_completes_on_the_successor_after_failover() {
     );
 }
 
-/// Windowed pipeline, both forward channels wedged: every write still
-/// acks (enqueue-under-quorum — a network stall is invisible to the
-/// router), the deltas pile up in the per-follower queues, and the fence
-/// drain at deposition delivers every one of them before the election.
-/// Zero acked writes lost even though *no* forward reached any follower
-/// before the primary died.
+/// Spins (no sleeping) until `cond` holds; the cap only turns a hang into
+/// a failure.
+fn wait_for(cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "condition never held");
+        std::thread::yield_now();
+    }
+}
+
+/// Schedules a wedge of both follower channels of shard 0 at its next
+/// replicated mutation.
+fn stall_both_followers(router: &ClusterRouter) -> Arc<FaultPlan> {
+    let id = ShardId(0);
+    let op = router.replica_status(id).unwrap().ops + 1;
+    let plan = FaultPlan::new([1, 2].map(|k| PlannedFault {
+        shard: id,
+        op,
+        kind: FaultKind::StallForwardChannel(k),
+    }));
+    router.set_fault_plan(Arc::clone(&plan));
+    plan
+}
+
+/// Starts one awaited update (to `version`) per policy on scoped threads,
+/// waits until every one of them sits queued on both follower channels of
+/// shard 0 — parked behind the wedge, its ack outstanding — checks that
+/// none has returned, runs `fence`, and only then joins them: each must
+/// have been released with `Ok`.
+fn fence_parked_updates(
+    router: &ClusterRouter,
+    names: &[&str],
+    version: u64,
+    fence: impl FnOnce(),
+) {
+    std::thread::scope(|scope| {
+        let updates: Vec<_> = names
+            .iter()
+            .map(|name| scope.spawn(move || update(router, name, version)))
+            .collect();
+        wait_for(|| router.stats().shards[0].queue_depths.iter().sum::<usize>() == 2 * names.len());
+        assert!(
+            updates.iter().all(|update| !update.is_finished()),
+            "an update acked with no follower holding it"
+        );
+        fence();
+        for update in updates {
+            update
+                .join()
+                .unwrap()
+                .expect("the fence releases a parked update with Ok");
+        }
+    });
+}
+
+/// Both forward channels wedged: a network stall is invisible to the
+/// router, so nothing is demoted — the deltas pile up in the per-follower
+/// queues with their writers parked on the ack — and the fence drain at
+/// deposition delivers every one of them before the election. Zero acked
+/// writes lost even though *no* forward reached any follower before the
+/// primary died.
 #[test]
 fn stalled_forward_channels_lose_no_acked_writes_across_failover() {
     let platform = Platform::new("fo-host", Microcode::PostForeshadow);
     let router = replicated_cluster(&platform, 1, 3, 2);
-    router.set_ack_mode(AckMode::Windowed);
-    // A flush window far beyond the test: only the stall + fence matter.
-    router.set_flush_window(Duration::from_secs(30));
     let id = ShardId(0);
-    let plan = FaultPlan::new([
-        PlannedFault {
-            shard: id,
-            op: 2,
-            kind: FaultKind::StallForwardChannel(1),
-        },
-        PlannedFault {
-            shard: id,
-            op: 2,
-            kind: FaultKind::StallForwardChannel(2),
-        },
-    ]);
-    router.set_fault_plan(Arc::clone(&plan));
-
-    create(&router, "st", 1); // op 1: queued (long window), not yet shipped
-    for version in 2..=6 {
-        update(&router, "st", version).unwrap(); // op 2 wedges both channels
+    let names = ["st-0", "st-1", "st-2", "st-3", "st-4"];
+    for name in names {
+        create(&router, name, 1);
     }
-    assert!(plan.all_fired());
+    let plan = stall_both_followers(&router);
 
-    // Nothing was demoted — the stall is indistinguishable from a slow
-    // wire — and the backlog is visible in the queue depths.
-    let status = router.replica_status(id).unwrap();
-    assert!(status.replicas.iter().all(|r| r.in_quorum));
-    let shard = &router.stats().shards[0];
-    assert!(
-        shard.queue_depths.iter().sum::<usize>() >= 2,
-        "stalled channels must show a backlog: {:?}",
-        shard.queue_depths
-    );
-
-    // Pull the primary: deposing it fences (drains) its channels, so the
-    // queued v1..v6 reach the followers before the freshness election.
-    assert!(router.quarantine(id, "chaos: primary pulled").is_some());
+    fence_parked_updates(&router, &names, 2, || {
+        assert!(plan.all_fired());
+        // Nothing was demoted — the stall is indistinguishable from a
+        // slow wire.
+        let status = router.replica_status(id).unwrap();
+        assert!(status.replicas.iter().all(|r| r.in_quorum));
+        // Pull the primary: deposing it fences (drains) its channels, so
+        // the queued updates reach the followers before the freshness
+        // election — and their writers are released with `Ok`.
+        assert!(router.quarantine(id, "chaos: primary pulled").is_some());
+    });
     let status = router.replica_status(id).unwrap();
     assert_ne!(status.primary, 0, "a follower must hold the seat");
-    assert_eq!(
-        read_version(&router, "st"),
-        6,
-        "every acked write must survive the stalled-channel failover"
-    );
+    for name in names {
+        assert_eq!(
+            read_version(&router, name),
+            2,
+            "every acked write must survive the stalled-channel failover"
+        );
+    }
     let repl = router.stats().shards[0].replication;
     assert!(repl.flushes_fence >= 1, "{repl:?}");
 
-    // The group keeps accepting writes on the successor.
-    update(&router, "st", 7).unwrap();
-    assert_eq!(read_version(&router, "st"), 7);
+    // Its channels repaired, the group keeps accepting writes on the
+    // successor.
+    assert!(router.reinstate(id));
+    update(&router, "st-0", 3).unwrap();
+    assert_eq!(read_version(&router, "st-0"), 3);
 }
 
-/// A whole batch lost on the wire *silently* (no demotion — the sender
-/// saw it leave): the victim's chain now has a gap, the next shipped
-/// batch must surface it, and the group heals with a snapshot resync.
-/// Failing over onto either follower afterwards serves the acked state.
+/// A whole window lost on the wire *silently* (no demotion — the sender
+/// saw it leave): the write still acks through the other follower, the
+/// victim's chain now has a gap, the next delivery must surface it, and
+/// the group heals with a snapshot resync. Failing over onto either
+/// follower afterwards serves the acked state.
 #[test]
 fn dropped_batch_heals_by_snapshot_resync_and_survives_failover() {
     let platform = Platform::new("fo-host", Microcode::PostForeshadow);
     let router = replicated_cluster(&platform, 1, 3, 2);
-    router.set_ack_mode(AckMode::Windowed);
-    router.set_flush_window(Duration::from_secs(30));
     let id = ShardId(0);
 
     create(&router, "db", 1); // op 1
-    assert!(router.flush_replication(id), "explicit flush must drain");
     let applied_after_create = router.replica_status(id).unwrap().replicas[1].applied;
 
-    // Op 2's batch to follower 1 vanishes on the wire.
+    // Op 2's window to follower 1 vanishes on the wire.
     let plan = FaultPlan::new([PlannedFault {
         shard: id,
         op: 2,
         kind: FaultKind::DropBatch(1),
     }]);
     router.set_fault_plan(Arc::clone(&plan));
-    update(&router, "db", 2).unwrap(); // op 2: acked at enqueue
-    assert!(router.flush_replication(id));
+    update(&router, "db", 2).unwrap(); // op 2: acked by the primary + follower 2
     assert!(plan.all_fired());
 
     let status = router.replica_status(id).unwrap();
@@ -1082,7 +1053,6 @@ fn dropped_batch_heals_by_snapshot_resync_and_survives_failover() {
     // (its chain is at v1, the delta chains from v2) and resyncs by
     // snapshot.
     update(&router, "db", 3).unwrap();
-    assert!(router.flush_replication(id));
     let repl = router.stats().shards[0].replication;
     assert!(repl.sequence_rejections >= 1, "{repl:?}");
     assert_eq!(repl.snapshot_resyncs, 1, "{repl:?}");
@@ -1099,40 +1069,9 @@ fn dropped_batch_heals_by_snapshot_resync_and_survives_failover() {
     assert_eq!(read_version(&router, "db"), 3, "acked writes must survive");
 }
 
-/// Crash-after-quorum in windowed mode: the ack happened at local
-/// commit plus enqueue, so the forwards are still sitting in the
-/// channels when the primary dies. The deposition fence must flush them
-/// so the elected follower already holds every acked write.
-#[test]
-fn windowed_crash_after_quorum_preserves_acked_writes() {
-    let platform = Platform::new("fo-host", Microcode::PostForeshadow);
-    let router = replicated_cluster(&platform, 1, 3, 2);
-    router.set_ack_mode(AckMode::Windowed);
-    router.set_flush_window(Duration::from_secs(30));
-    let id = ShardId(0);
-    let plan = FaultPlan::new([PlannedFault {
-        shard: id,
-        op: 3,
-        kind: FaultKind::CrashAfterQuorum,
-    }]);
-    router.set_fault_plan(Arc::clone(&plan));
-
-    create(&router, "wq", 1); // op 1: queued
-    update(&router, "wq", 2).unwrap(); // op 2: queued
-    update(&router, "wq", 3).unwrap(); // op 3: acked, then the primary dies
-    assert!(plan.all_fired());
-
-    let status = router.replica_status(id).unwrap();
-    assert_eq!(status.failovers, 1);
-    assert_ne!(status.primary, 0, "a follower must hold the seat");
-    assert_eq!(read_version(&router, "wq"), 3, "acked write must survive");
-    update(&router, "wq", 4).unwrap();
-    assert_eq!(read_version(&router, "wq"), 4);
-}
-
 /// The control-plane flight recorder must capture a failover end to end:
-/// deposing a windowed primary with a queued backlog leaves a
-/// `FenceDrain` for the delivered backlog, an `Election` naming the
+/// deposing a primary with a backlog parked behind wedged channels leaves
+/// a `FenceDrain` for the delivered backlog, an `Election` naming the
 /// deposed seat, the winner and its counter token, and a `Quarantine`
 /// for the pulled replica — in that order, with the election's
 /// fence-drain count agreeing with the drain events.
@@ -1140,21 +1079,21 @@ fn windowed_crash_after_quorum_preserves_acked_writes() {
 fn flight_recorder_captures_the_election() {
     let platform = Platform::new("fo-host", Microcode::PostForeshadow);
     let router = replicated_cluster(&platform, 1, 3, 2);
-    router.set_ack_mode(AckMode::Windowed);
-    // A flush window far beyond the test: the backlog sits in the pipes
-    // until the deposition fence drains it.
-    router.set_flush_window(Duration::from_secs(30));
     let id = ShardId(0);
-
-    create(&router, "fr", 1);
-    for version in 2..=5 {
-        update(&router, "fr", version).unwrap();
+    let names = ["fr-0", "fr-1", "fr-2", "fr-3"];
+    for name in names {
+        create(&router, name, 1);
     }
-    assert!(router.quarantine(id, "chaos: primary pulled").is_some());
+    stall_both_followers(&router);
+    fence_parked_updates(&router, &names, 2, || {
+        assert!(router.quarantine(id, "chaos: primary pulled").is_some());
+    });
     let status = router.replica_status(id).unwrap();
     let winner = status.primary;
     assert_ne!(winner, 0, "a follower must hold the seat");
-    assert_eq!(read_version(&router, "fr"), 5, "acked writes survive");
+    for name in names {
+        assert_eq!(read_version(&router, name), 2, "acked writes survive");
+    }
 
     let events = router.telemetry().flight().events();
     let drained: u64 = events

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use palaemon::cluster::{
-    strict_shard, AckMode, ClusterRouter, FaultKind, FaultPlan, HashRing, PlannedFault,
-    ReadPreference, ShardId,
+    strict_shard, ClusterRouter, FaultKind, FaultPlan, HashRing, PlannedFault, ReadPreference,
+    ShardId,
 };
 use palaemon::crypto::aead::AeadKey;
 use palaemon::crypto::merkle::MerkleTree;
@@ -437,19 +437,20 @@ fn delta_op_strategy() -> impl Strategy<Value = DeltaOp> {
     ]
 }
 
-/// One step of a randomized schedule for the *windowed* (pipelined)
-/// replication data plane: forwards ride per-follower background channels
-/// and acks happen at local commit + enqueue.
+/// One step of a randomized schedule for the pipelined replication data
+/// plane: forwards ride per-follower background channels and an ack
+/// awaits every in-quorum follower's durable verdict.
 #[derive(Debug, Clone, Copy)]
 enum PipelineOp {
     /// Publish the next version of policy `0..2`.
     Update(u8),
     /// Wedge replica `0..3`'s forward channel at the next mutation (the
-    /// sender stops draining; enqueues still ack; cleared by reinstate).
+    /// sender stops draining; mutations queued behind it park on their
+    /// ack until a fence; cleared by reinstate).
     Stall(u8),
-    /// Silently drop the next batch shipped to follower 1 (acked writes
-    /// survive on the primary and follower 2; the chain gap must heal by
-    /// snapshot resync, never diverge).
+    /// Silently drop the next window delivered to follower 1 (acked
+    /// writes survive on the primary and follower 2; the chain gap must
+    /// heal by snapshot resync, never diverge).
     DropBatch,
     /// Operator flush: drain every non-stalled channel now.
     Flush,
@@ -663,17 +664,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For arbitrary interleavings of updates, channel stalls, silently
-    /// dropped batches, operator flushes, primary crashes and repairs —
-    /// with forwards riding the windowed background channels (acks at
-    /// local commit + enqueue) and reads in quorum mode:
+    /// dropped windows, operator flushes, primary crashes and repairs —
+    /// with forwards riding the background channels and reads in quorum
+    /// mode:
     ///
     /// 1. whenever the group is routable, no read returns a version older
-    ///    than the last acked write — the deposition fence must flush the
-    ///    queued forwards before any election, and the freshness check
-    ///    must push reads off batch-lagged followers;
+    ///    than the last acked write — the deposition fence must deliver
+    ///    the queued forwards before any election, and the freshness check
+    ///    must push reads off lagging followers;
     /// 2. after a final repair + flush, every replica holds byte-identical
-    ///    records: stalls, dropped batches and coalesced windows never
-    ///    cause silent divergence.
+    ///    records: stalls and dropped windows never cause silent
+    ///    divergence.
+    ///
+    /// An update that meets a wedged channel parks on its ack, so it is
+    /// issued from a scoped thread and joined after the next fencing op
+    /// (a primary crash or a reinstate) — which must release it.
     #[test]
     fn windowed_pipeline_never_serves_stale_and_never_diverges(
         ops in proptest::collection::vec(pipeline_op_strategy(), 1..40)
@@ -688,7 +693,7 @@ proptest! {
         use palaemon::db::Db;
         use shielded_fs::store::MemStore;
         use std::sync::Arc;
-        use std::time::Duration;
+        use std::time::{Duration, Instant};
 
         const REPLICAS: u32 = 3;
         const POLICIES: u8 = 2;
@@ -719,14 +724,10 @@ proptest! {
             .collect();
         router.add_replicated_shard(id, set, 2).unwrap();
         router.set_read_preference(ReadPreference::Quorum);
-        router.set_ack_mode(AckMode::Windowed);
-        // A window wide enough that consecutive updates coalesce into one
-        // shipped batch unless a flush or fence forces them out earlier.
-        router.set_flush_window(Duration::from_millis(2));
         let plan = FaultPlan::new([]);
         router.set_fault_plan(Arc::clone(&plan));
 
-        let update = |p: u8, version: u64| {
+        let update = &|p: u8, version: u64| {
             router.handle(TmsRequest::UpdatePolicy {
                 client: owner,
                 policy: Box::new(versioned(p, version)),
@@ -747,76 +748,122 @@ proptest! {
                 .unwrap();
         }
 
-        for op in ops {
-            match op {
-                PipelineOp::Update(p) => {
-                    version += 1;
-                    if update(p, version).is_ok() {
-                        acked[p as usize] = version;
-                    }
-                }
-                PipelineOp::Stall(r) => {
-                    let next = router.replica_status(id).unwrap().ops + 1;
-                    plan.schedule(PlannedFault {
-                        shard: id,
-                        op: next,
-                        kind: FaultKind::StallForwardChannel(r as usize),
-                    });
-                }
-                PipelineOp::DropBatch => {
-                    let next = router.replica_status(id).unwrap().ops + 1;
-                    plan.schedule(PlannedFault {
-                        shard: id,
-                        op: next,
-                        kind: FaultKind::DropBatch(1),
-                    });
-                }
-                PipelineOp::Flush => {
-                    router.flush_replication(id);
-                }
-                PipelineOp::CrashPrimary => {
-                    router.quarantine(id, "prop: crash");
-                }
-                PipelineOp::Reinstate => {
-                    router.reinstate(id);
-                }
-            }
+        // The driver's mirror of the wedges, so it knows which update will
+        // park: stalls armed for a coming operation, and the channels
+        // already wedged (a stall fires at its operation's enqueue for a
+        // live non-primary replica; only reinstate clears it).
+        let mut armed: Vec<(u64, usize)> = Vec::new();
+        let mut stalled = [false; REPLICAS as usize];
+        // Drain: a repair, one update that may still meet an armed fault,
+        // and the repair that fences it.
+        let drain = [PipelineOp::Reinstate, PipelineOp::Update(0), PipelineOp::Reinstate];
 
-            let status = router.replica_status(id).unwrap();
-            if status.replicas[status.primary].quarantined {
-                continue; // group dark until a repair
-            }
-            // Invariant 1: several reads of both policies, so the rotation
-            // crosses every eligible replica — none may serve older than
-            // that policy's last acked write, batch lag notwithstanding.
-            for p in 0..POLICIES {
-                for _ in 0..REPLICAS as usize {
-                    match router.handle(TmsRequest::ReadPolicy {
-                        name: format!("pipe-{p}"),
-                        client: owner,
-                        approval: None,
-                        votes: Vec::new(),
-                    }) {
-                        Ok(TmsResponse::Policy(policy)) => {
-                            let seen: u64 = policy.services[0].env["VERSION"].parse().unwrap();
-                            prop_assert!(
-                                seen >= acked[p as usize],
-                                "read of pipe-{p} saw v{seen} after v{} was acked",
-                                acked[p as usize]
-                            );
+        std::thread::scope(|scope| {
+            let mut parked = Vec::new();
+            for op in ops.into_iter().chain(drain) {
+                let mut fenced = false;
+                match op {
+                    PipelineOp::Update(p) => {
+                        version += 1;
+                        let status = router.replica_status(id).unwrap();
+                        let this_op = status.ops + 1;
+                        let routable = !status.replicas[status.primary].quarantined;
+                        if routable {
+                            for &(at, r) in &armed {
+                                if at == this_op && r != status.primary && !status.replicas[r].quarantined {
+                                    stalled[r] = true;
+                                }
+                            }
+                            armed.retain(|&(at, _)| at > this_op);
                         }
-                        other => prop_assert!(false, "routable group must serve: {other:?}"),
+                        let parks = routable
+                            && status.replicas.iter().any(|r| !r.primary && r.in_quorum && stalled[r.replica]);
+                        if parks {
+                            let writer = scope.spawn(move || update(p, version));
+                            // Enqueued (hence parked) before the schedule moves on.
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while router.replica_status(id).unwrap().ops < this_op && !writer.is_finished() {
+                                assert!(Instant::now() < deadline, "parked update never enqueued");
+                                std::thread::yield_now();
+                            }
+                            parked.push((writer, p, version));
+                        } else if update(p, version).is_ok() {
+                            acked[p as usize] = version;
+                        }
+                    }
+                    PipelineOp::Stall(r) => {
+                        let next = router.replica_status(id).unwrap().ops + 1;
+                        plan.schedule(PlannedFault {
+                            shard: id,
+                            op: next,
+                            kind: FaultKind::StallForwardChannel(r as usize),
+                        });
+                        armed.push((next, r as usize));
+                    }
+                    PipelineOp::DropBatch => {
+                        let next = router.replica_status(id).unwrap().ops + 1;
+                        plan.schedule(PlannedFault {
+                            shard: id,
+                            op: next,
+                            kind: FaultKind::DropBatch(1),
+                        });
+                    }
+                    PipelineOp::Flush => {
+                        router.flush_replication(id);
+                    }
+                    PipelineOp::CrashPrimary => {
+                        router.quarantine(id, "prop: crash");
+                        fenced = true;
+                    }
+                    PipelineOp::Reinstate => {
+                        router.reinstate(id);
+                        stalled = [false; REPLICAS as usize];
+                        fenced = true;
+                    }
+                }
+                if fenced {
+                    // The fence delivered through every wedge: each parked
+                    // update has its verdicts and returns.
+                    for (writer, p, version) in parked.drain(..) {
+                        if writer.join().unwrap().is_ok() {
+                            acked[p as usize] = acked[p as usize].max(version);
+                        }
+                    }
+                }
+
+                let status = router.replica_status(id).unwrap();
+                if status.replicas[status.primary].quarantined {
+                    continue; // group dark until a repair
+                }
+                // Invariant 1: several reads of both policies, so the rotation
+                // crosses every eligible replica — none may serve older than
+                // that policy's last acked write, follower lag notwithstanding.
+                for p in 0..POLICIES {
+                    for _ in 0..REPLICAS as usize {
+                        match router.handle(TmsRequest::ReadPolicy {
+                            name: format!("pipe-{p}"),
+                            client: owner,
+                            approval: None,
+                            votes: Vec::new(),
+                        }) {
+                            Ok(TmsResponse::Policy(policy)) => {
+                                let seen: u64 = policy.services[0].env["VERSION"].parse().unwrap();
+                                prop_assert!(
+                                    seen >= acked[p as usize],
+                                    "read of pipe-{p} saw v{seen} after v{} was acked",
+                                    acked[p as usize]
+                                );
+                            }
+                            other => prop_assert!(false, "routable group must serve: {other:?}"),
+                        }
                     }
                 }
             }
-        }
+            prop_assert!(parked.is_empty(), "the drain ends on a fence");
+        });
 
-        // Drain the schedule: repair everything (clears stalls and pending
-        // drops), force chained mutations on both policies, then flush the
-        // channels so every queued window lands.
-        router.reinstate(id);
-        version += 1;
-        let _ = update(0, version); // may be the victim of a still-armed fault
+        // The schedule is spent: force chained mutations on both policies,
+        // then repair and flush so everything queued lands.
         for p in [1u8, 0] {
             version += 1;
             prop_assert!(update(p, version).is_ok(), "the clean drain update must ack");

@@ -21,8 +21,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use palaemon::cluster::{
-    kill_server_between, strict_shard, AckMode, ClusterError, ClusterMonitor, ClusterRouter,
-    FaultKind, FaultPlan, MonitorConfig, PlannedFault, QuarantineOutcome, ShardId,
+    kill_server_between, strict_shard, ClusterError, ClusterMonitor, ClusterRouter, FaultKind,
+    FaultPlan, MonitorConfig, PlannedFault, QuarantineOutcome, ShardId,
 };
 use palaemon::core::counterfile::{BatchedCounter, MemFileCounter};
 use palaemon::core::policy::Policy;
@@ -562,44 +562,6 @@ fn probation_heal_readmits_a_crash_restarted_replica() {
     assert_eq!(read_version(&router, "cr"), 3);
 }
 
-/// Saturation relief: wedge a follower's channel, queue writes past the
-/// degradation threshold in windowed mode, and one monitor pass must
-/// force a flush window (clearing the wedge) and converge the group.
-#[test]
-fn monitor_flushes_a_saturated_group() {
-    let platform = Platform::new("sh-host", Microcode::PostForeshadow);
-    let router = Arc::new(replicated_cluster(&platform, 1, 3, 2));
-    router.set_ack_mode(AckMode::Windowed);
-    // A small window cap so the wedged channel's backlog counts as
-    // saturation (depth / cap) past the degradation threshold.
-    router.set_flush_window_cap(16);
-    let id = ShardId(0);
-    let plan = FaultPlan::new([PlannedFault {
-        shard: id,
-        op: 2,
-        kind: FaultKind::StallForwardChannel(1),
-    }]);
-    router.set_fault_plan(Arc::clone(&plan));
-    create(&router, "sat", 1); // op 1
-    for version in 2..=40 {
-        update(&router, "sat", version).unwrap(); // queue behind the stall
-    }
-    let health = router.health_check();
-    assert!(
-        health[0].pipe_saturation > 0.0,
-        "the wedged channel must show saturation: {health:?}"
-    );
-
-    let monitor = ClusterMonitor::new(Arc::clone(&router), MonitorConfig::default());
-    let report = monitor.tick();
-    assert!(
-        report.forced_flushes >= 1 || report.repairs >= 1,
-        "the monitor must relieve the wedged channel: {report:?}"
-    );
-    assert_digests_converged(&router, id);
-    assert_eq!(read_version(&router, "sat"), 40);
-}
-
 // ---------------------------------------------------------------------
 // Acceptance bar: 200+ faults, zero acked loss, zero reinstate
 // ---------------------------------------------------------------------
@@ -609,7 +571,9 @@ fn monitor_flushes_a_saturated_group() {
 /// wire losses, reorders, batch drops, channel stalls and counter
 /// rollbacks — against a monitored R=3 group under continuous writes,
 /// with a deterministic monitor tick interleaved every third mutation.
-/// `reinstate` is never called. At the end the monitor alone must have
+/// A stall parks its round's writes on their acks, so that round writes
+/// from a scoped thread while the monitor ticks until its sweep has fenced
+/// through the wedge and released them. `reinstate` is never called. At the end the monitor alone must have
 /// converged the group: every acked write readable, all three replicas
 /// back in the write quorum, byte-identical policy records everywhere.
 #[test]
@@ -619,7 +583,6 @@ fn monitor_converges_two_hundred_faults_without_an_operator() {
 
     let platform = Platform::new("sh-host", Microcode::PostForeshadow);
     let router = Arc::new(replicated_cluster(&platform, 1, 3, 2));
-    router.set_ack_mode(AckMode::Windowed);
     let id = ShardId(0);
     let monitor = ClusterMonitor::new(
         Arc::clone(&router),
@@ -667,12 +630,31 @@ fn monitor_converges_two_hundred_faults_without_an_operator() {
 
         // Three writes per fault: the faulted op plus two clean ones, so
         // reorder/lose gaps surface at a successor delta.
-        for _ in 0..3 {
-            version += 1;
-            let i = (version % POLICIES) as usize;
-            if update(&router, &names[i], version).is_ok() {
-                acked[i] = version;
+        let mut write_three = || {
+            for _ in 0..3 {
+                version += 1;
+                let i = (version % POLICIES) as usize;
+                if update(&router, &names[i], version).is_ok() {
+                    acked[i] = version;
+                }
             }
+        };
+        if matches!(kind, FaultKind::StallForwardChannel(_)) {
+            // The wedge parks the writer; only the monitor's sweep (fence
+            // through the stall, then clear it) lets it return.
+            std::thread::scope(|scope| {
+                let writer = scope.spawn(write_three);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !writer.is_finished() {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the monitor never released the writes parked behind the wedge"
+                    );
+                    monitor.tick();
+                }
+            });
+        } else {
+            write_three();
         }
         monitor.tick();
     }

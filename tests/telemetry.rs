@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use palaemon::cluster::{strict_shard, AckMode, ClusterDoor, ClusterRouter, ShardId};
+use palaemon::cluster::{strict_shard, ClusterDoor, ClusterRouter, ShardId};
 use palaemon::core::counterfile::MemFileCounter;
 use palaemon::core::frontdoor::FrontDoor;
 use palaemon::core::policy::Policy;
@@ -177,7 +177,7 @@ fn one_snapshot_covers_all_nine_surfaces() {
     find("frontdoor_submitted_total");
     find("counter_ops_committed_total");
     find("replication_mutations_shipped_total");
-    find("shard_pipe_saturation");
+    find("shard_queue_depth");
     find("cluster_shards");
     find("db_commits_total");
     find("db_wal_windows_total");
@@ -284,17 +284,12 @@ fn front_door_conservation_under_drop_drain() {
     assert_eq!(stats.queue_depth, 0, "drained means empty");
 }
 
-/// Conservation on the replication plane: over a clean windowed run,
-/// every shipped batch lands in exactly one histogram bucket, every
-/// coalesced delta is one batch, and both followers see every mutation.
+/// Conservation on the replication plane: over a clean run every mutation
+/// is one delta per follower — delivered, counted and acked exactly once.
 #[test]
 fn replication_accounting_is_conserved() {
     let platform = Platform::new("tel-host", Microcode::PostForeshadow);
     let router = replicated_router(&platform);
-    router.set_ack_mode(AckMode::Windowed);
-    // Far beyond the test: batches ship only at the explicit flush.
-    router.set_flush_window(Duration::from_secs(30));
-    let id = ShardId(0);
 
     let before = router.stats().shards[0].replication;
     let served_before = router.stats().shards[0].server;
@@ -306,7 +301,6 @@ fn replication_accounting_is_conserved() {
             update(&router, &format!("cons_{p}"), version);
         }
     }
-    assert!(router.flush_replication(id), "flush must reach the group");
     let after = router.stats().shards[0].replication;
 
     assert_eq!(after.sequence_rejections, before.sequence_rejections);
@@ -319,22 +313,23 @@ fn replication_accounting_is_conserved() {
         mutations * followers,
         "both followers must see every mutation exactly once"
     );
-    let batches = after.batches_shipped - before.batches_shipped;
-    let histogram: u64 =
-        after.batch_histogram.iter().sum::<u64>() - before.batch_histogram.iter().sum::<u64>();
-    assert_eq!(
-        histogram, batches,
-        "every shipped batch lands in exactly one bucket"
-    );
     let deltas = (after.incremental_deltas + after.snapshot_deltas)
         - (before.incremental_deltas + before.snapshot_deltas);
     assert_eq!(
-        deltas, batches,
-        "on a clean run each shipped batch is one coalesced delta"
+        deltas,
+        mutations * followers,
+        "on a clean run each mutation is one delta per follower"
     );
+    assert_eq!(
+        after.batches_shipped - before.batches_shipped,
+        deltas,
+        "every delta forwarded is a delta delivered"
+    );
+    let transfers = (after.flushes_durable + after.flushes_fence)
+        - (before.flushes_durable + before.flushes_fence);
     assert!(
-        batches < mutations * followers,
-        "the window must actually coalesce ({batches} batches for {mutations} mutations x2)"
+        (1..=deltas).contains(&transfers),
+        "{transfers} wire transfers carried {deltas} deltas"
     );
 
     // The primary's server stages every mutation and redeems it behind the
