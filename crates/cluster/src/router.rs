@@ -48,11 +48,14 @@
 //!
 //! **One ack rule** (Fig. 6: *state durable, counter covered, then ack*).
 //! The mutation is *staged* on the primary ([`TmsServer::stage`]), its
-//! delta enqueued, and only then are the local commit ticket (+ counter
-//! commit) redeemed and every in-quorum follower's durable verdict
-//! awaited: `Ok` needs `write_quorum` holders **and** the primary's own
-//! redeem, so it means durable in the primary's crash image *and* on the
-//! followers that counted. Of the four waits involved — the primary's WAL
+//! delta enqueued, and only then is the local commit ticket redeemed —
+//! one wait: its WAL window's leader syncs and, on a strict shard, covers
+//! the window with one counter increment before the verdict — and every
+//! in-quorum follower's durable verdict awaited: `Ok` needs `write_quorum`
+//! holders **and** the primary's own redeem, so it means durable in the
+//! primary's crash image, covered by its counter, *and* durable on the
+//! followers that counted. Followers apply forwarded deltas uncovered:
+//! their counters move only once they take the seat. Of the four waits involved — the primary's WAL
 //! sync, the sender finishing its previous cycle, the wire, the follower's
 //! sync — only wire → follower sync depend on each other, so the rest
 //! overlap: the primary redeems **behind** the forward, and wire transit
@@ -2514,15 +2517,13 @@ impl ClusterRouter {
             if puts.is_empty() && tombstones.is_empty() {
                 continue;
             }
+            // A client mutation of the consumer's engine: on a strict shard
+            // its commit window's leader covers it with the shard's rollback
+            // counter before this returns.
             tprimary
                 .engine()
                 .apply_export_records(target, &puts, &tombstones)
                 .map_err(ClusterError::Engine)?;
-            // The engine-level apply bypasses the shard server, so the
-            // rollback counter's group commit is driven here.
-            if let Some(counter) = &tprimary.counter {
-                counter.commit().map_err(ClusterError::Engine)?;
-            }
             if tgroup.replicas.len() > 1 {
                 // Already durable and counter-covered above: nothing
                 // left to redeem behind the forward.
@@ -4806,6 +4807,40 @@ mod tests {
         );
     }
 
+    /// A forwarded export is a client mutation of the consumer's engine: on
+    /// a strict consumer shard its own commit window covers it, once.
+    #[test]
+    fn forwarded_exports_are_covered_by_the_consumer_shards_counter() {
+        let platform = Platform::new("cl-host", Microcode::PostForeshadow);
+        let router = cluster(2, &platform);
+        let producer = name_on_shard(&router, "cprod", ShardId(0));
+        let consumer = name_on_shard(&router, "ccons", ShardId(1));
+        let counters = || -> Vec<_> {
+            let shards = router.stats().shards;
+            shards.iter().map(|s| s.server.counter.unwrap()).collect()
+        };
+        let before = counters();
+        router
+            .handle(TmsRequest::CreatePolicy {
+                owner: owner(),
+                policy: Box::new(producer_policy(&producer, Some(&consumer))),
+                approval: None,
+                votes: Vec::new(),
+            })
+            .unwrap();
+        let after = counters();
+        for (shard, what) in [(0, "the producer's create"), (1, "the forwarded export")] {
+            assert_eq!(
+                (
+                    after[shard].ops_committed - before[shard].ops_committed,
+                    after[shard].increments - before[shard].increments
+                ),
+                (1, 1),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn cross_shard_exports_replicate_and_survive_consumer_failover() {
         let platform = Platform::new("cl-host", Microcode::PostForeshadow);
@@ -5362,6 +5397,33 @@ mod tests {
         }
         let repl = rig.router.stats().shards[0].replication;
         assert_eq!(repl.snapshot_resyncs, 0, "{repl:?}");
+        rig.assert_converged();
+    }
+
+    /// The counter covers a mutation where a client submitted it, once:
+    /// followers apply forwarded deltas uncovered, so on a strict R=3 group
+    /// only the seat's counter moves.
+    #[test]
+    fn followers_apply_uncovered_and_the_primary_counts_every_push() {
+        let rig = DeviceGroup::new(2, 1);
+        let counters = || {
+            let topo = rig.router.topology.read();
+            let replicas = &topo.shards[&rig.id].replicas;
+            [0, 1, 2].map(|k| replicas[k].counter.as_ref().unwrap().stats())
+        };
+        let before = counters();
+        for seq in 0..50 {
+            rig.push(0, seq).unwrap();
+        }
+        let after = counters();
+        assert_eq!(after[0].ops_committed - before[0].ops_committed, 50);
+        assert!(after[0].increments - before[0].increments <= 50);
+        for k in [1, 2] {
+            // Not since the group was built, policy creation included.
+            assert_eq!(after[k].increments, 0, "follower {k} incremented");
+            assert_eq!(after[k].ops_committed, 0);
+            assert!(rig.survives_crash(k, 0, 49));
+        }
         rig.assert_converged();
     }
 

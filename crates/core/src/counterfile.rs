@@ -27,13 +27,23 @@
 //! Monotonic-counter increments are the dominant cost of the Fig. 6
 //! rollback protocol, and serializing every state change behind one counter
 //! write caps throughput at counter latency. [`BatchedCounter`] amortizes
-//! it: concurrent committers coalesce into batches, one leader performs a
-//! single `increment()` covering every operation enqueued before it ran,
-//! and followers observe the leader's value. Ordering is preserved — an
-//! operation only returns once an increment issued *after* it enqueued has
-//! completed, so a crash can never surface a committed operation without
-//! its covering increment (the exact ordering the Fig. 6 edge-case tests
-//! below pin down).
+//! it two ways:
+//!
+//! * [`BatchedCounter::cover`]`(n)` covers `n` operations with **one**
+//!   increment. This is what the request path uses: a strict shard's
+//!   database calls it once per WAL commit window, from the window's
+//!   leader, after the window's sync and before any of its commits is
+//!   acknowledged (see [`crate::server`]), so `n` is the number of client
+//!   mutations the window carried and nobody queues for the counter.
+//! * Concurrent callers coalesce: one leader performs a single
+//!   `increment()` covering every operation enqueued before it ran, and
+//!   followers observe the leader's value. [`BatchedCounter::commit`] —
+//!   `cover(1)` — remains for callers outside a WAL window.
+//!
+//! Ordering is preserved either way — a call only returns once an increment
+//! issued *after* it began has completed, so a crash can never surface a
+//! committed operation without its covering increment (the exact ordering
+//! the Fig. 6 edge-case tests below pin down).
 
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
@@ -301,14 +311,14 @@ struct BatchState {
     /// Counter value of the most recent completed increment.
     last_value: u64,
     increments: u64,
-    /// Operations whose `commit()` returned `Ok` (failed leaders are
+    /// Operations whose `cover()` returned `Ok` (failed leaders are
     /// excluded even though a later increment covers their sequence).
     committed: u64,
 }
 
-/// Group commit for monotonic counters: concurrent `commit()` calls
-/// coalesce into one backend `increment()` per batch window (leader /
-/// follower, like WAL group commit). See the module docs for the ordering
+/// Group commit for monotonic counters: one [`BatchedCounter::cover`] call
+/// covers many operations with one backend `increment()`, and concurrent
+/// calls coalesce (leader / follower). See the module docs for the ordering
 /// guarantee.
 pub struct BatchedCounter {
     counter: Mutex<Box<dyn MonotonicCounter + Send>>,
@@ -344,20 +354,33 @@ impl BatchedCounter {
         }
     }
 
-    /// Commits one logical operation: returns once a counter increment
-    /// issued *after* this call began has completed, and yields the counter
-    /// value that covers the operation.
+    /// Commits one logical operation: [`BatchedCounter::cover`]`(1)`.
+    ///
+    /// # Errors
+    /// As for [`BatchedCounter::cover`].
+    pub fn commit(&self) -> Result<u64> {
+        self.cover(1)
+    }
+
+    /// Covers `ops` logical operations with one increment: returns once a
+    /// counter increment issued *after* this call began has completed, and
+    /// yields the counter value that covers them. Concurrent calls coalesce
+    /// into one backend `increment()`.
     ///
     /// # Errors
     /// Backend increment failures (the failed leader's error is returned to
-    /// its own caller; waiting followers elect a new leader and retry).
-    pub fn commit(&self) -> Result<u64> {
+    /// its own caller and none of its `ops` is counted; waiting followers
+    /// elect a new leader and retry).
+    pub fn cover(&self, ops: u32) -> Result<u64> {
+        let ops = u64::from(ops);
         let mut state = self.state.lock().expect("batch state lock");
+        // The call's operations are enqueued as one block, so a flush
+        // covers all of them or none.
         let my_seq = state.enqueued;
-        state.enqueued += 1;
+        state.enqueued += ops;
         loop {
             if state.flushed > my_seq {
-                state.committed += 1;
+                state.committed += ops;
                 return Ok(state.last_value);
             }
             if !state.leader_running {
@@ -374,7 +397,7 @@ impl BatchedCounter {
                         state.flushed = flush_to;
                         state.last_value = value;
                         state.increments += 1;
-                        state.committed += 1;
+                        state.committed += ops;
                         self.flushed_cv.notify_all();
                         return Ok(value);
                     }
@@ -490,6 +513,17 @@ mod tests {
         assert_eq!(stats.ops_committed, 5);
         assert_eq!(stats.increments, 5);
         assert_eq!(batched.value(), 5);
+    }
+
+    #[test]
+    fn cover_counts_its_operations_against_one_increment() {
+        let batched = BatchedCounter::new(MemFileCounter::new());
+        assert_eq!(batched.cover(5).unwrap(), 1);
+        assert_eq!(batched.commit().unwrap(), 2);
+        assert_eq!(batched.cover(3).unwrap(), 3);
+        let stats = batched.stats();
+        assert_eq!(stats.ops_committed, 9);
+        assert_eq!(stats.increments, 3);
     }
 
     #[test]

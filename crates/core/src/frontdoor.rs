@@ -32,7 +32,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -271,10 +271,31 @@ impl<D: Door> FrontDoor<D> {
             .map(|id| (id, Instant::now()))
     }
 
-    fn enqueue(&self, job: Job<D::Error>) {
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+    /// The queue guard once there is room for one more job (or the pool is
+    /// shutting down) — backpressure for the blocking submit forms.
+    fn wait_for_space(&self) -> MutexGuard<'_, DoorQueue<D::Error>> {
         let mut q = self.shared.queue.lock().unwrap();
-        q.jobs.push_back(job);
+        while q.jobs.len() >= self.shared.capacity && !q.shutdown {
+            q = self.shared.space.wait(q).unwrap();
+        }
+        q
+    }
+
+    /// Pushes the request under `q` — the guard whose hold found room for
+    /// it, so concurrent submitters cannot all pass the bound check and
+    /// then overshoot it.
+    fn enqueue(
+        &self,
+        mut q: MutexGuard<'_, DoorQueue<D::Error>>,
+        request: TmsRequest,
+        sink: Sink<D::Error>,
+    ) {
+        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        q.jobs.push_back(Job {
+            request,
+            sink,
+            trace: self.mint_trace(),
+        });
         self.shared
             .queue_peak
             .fetch_max(q.jobs.len(), Ordering::Relaxed);
@@ -288,18 +309,7 @@ impl<D: Door> FrontDoor<D> {
     pub fn submit(&self, request: TmsRequest) -> Ticket<D::Error> {
         let ticket = Ticket::new();
         let sink = Sink::Ticket(Arc::clone(&ticket.state));
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            while q.jobs.len() >= self.shared.capacity && !q.shutdown {
-                q = self.shared.space.wait(q).unwrap();
-            }
-        }
-        let trace = self.mint_trace();
-        self.enqueue(Job {
-            request,
-            sink,
-            trace,
-        });
+        self.enqueue(self.wait_for_space(), request, sink);
         ticket
     }
 
@@ -312,25 +322,18 @@ impl<D: Door> FrontDoor<D> {
         &self,
         request: TmsRequest,
     ) -> std::result::Result<Ticket<D::Error>, TmsRequest> {
-        {
-            let q = self.shared.queue.lock().unwrap();
-            if q.jobs.len() >= self.shared.capacity {
-                drop(q);
-                // A refusal is still a submission attempt: count it on
-                // both sides so submitted == completed + rejected.
-                self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(request);
-            }
+        let q = self.shared.queue.lock().unwrap();
+        if q.jobs.len() >= self.shared.capacity {
+            drop(q);
+            // A refusal is still a submission attempt: count it on
+            // both sides so submitted == completed + rejected.
+            self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+            self.shared.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(request);
         }
         let ticket = Ticket::new();
         let sink = Sink::Ticket(Arc::clone(&ticket.state));
-        let trace = self.mint_trace();
-        self.enqueue(Job {
-            request,
-            sink,
-            trace,
-        });
+        self.enqueue(q, request, sink);
         Ok(ticket)
     }
 
@@ -342,18 +345,8 @@ impl<D: Door> FrontDoor<D> {
         request: TmsRequest,
         callback: impl FnOnce(std::result::Result<TmsResponse, D::Error>) + Send + 'static,
     ) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            while q.jobs.len() >= self.shared.capacity && !q.shutdown {
-                q = self.shared.space.wait(q).unwrap();
-            }
-        }
-        let trace = self.mint_trace();
-        self.enqueue(Job {
-            request,
-            sink: Sink::Callback(Box::new(callback)),
-            trace,
-        });
+        let sink = Sink::Callback(Box::new(callback));
+        self.enqueue(self.wait_for_space(), request, sink);
     }
 
     /// Current counters.
@@ -624,6 +617,97 @@ mod tests {
             .expect("space freed")
             .wait()
             .expect("probe");
+    }
+
+    #[test]
+    fn concurrent_submitters_never_overshoot_the_queue_bound() {
+        let (server, _platform) = fixture("bound");
+        // One worker that lets a request through the backend per permit, so
+        // the test decides when a queue slot frees up.
+        let permits = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let hook: FaultHook = {
+            let permits = Arc::clone(&permits);
+            Arc::new(move |_req| {
+                let (left, cv) = &*permits;
+                *cv.wait_while(left.lock().unwrap(), |left| *left == 0)
+                    .unwrap() -= 1;
+                Ok(())
+            })
+        };
+        let grant = |n: u64| {
+            *permits.0.lock().unwrap() += n;
+            permits.1.notify_all();
+        };
+        const CAPACITY: usize = 4;
+        const RACERS: usize = 8;
+        let door = FrontDoor::with_capacity(server.with_fault_hook(hook), 1, CAPACITY);
+
+        // Nothing drains: eight racers fill the queue from empty, so at most
+        // `CAPACITY` queue up behind the one request the worker holds.
+        let start = std::sync::Barrier::new(RACERS);
+        let mut accepted: Vec<Ticket> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..50)
+                            .filter_map(|_| door.try_submit(TmsRequest::PolicyCount).ok())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            racers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+        });
+        let (filled, full) = (accepted.len(), door.stats());
+
+        // Then one slot at a time: each permit frees a single slot, and all
+        // eight racers, submitting flat out, compete for it.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        accepted.extend(std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut mine = Vec::new();
+                        while !done.load(Ordering::SeqCst) {
+                            mine.extend(door.try_submit(TmsRequest::PolicyCount).ok());
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for _ in 0..300 {
+                let completed = door.stats().completed;
+                grant(1);
+                while door.stats().completed == completed {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+            racers
+                .into_iter()
+                .flat_map(|r| r.join().unwrap())
+                .collect::<Vec<_>>()
+        }));
+
+        // Open the backend and drain before judging anything: a failed
+        // assertion must not leave the worker parked on a permit.
+        grant(accepted.len() as u64);
+        for ticket in accepted {
+            ticket.wait().expect("probe");
+        }
+        let drained = door.drain();
+        assert!(
+            filled <= CAPACITY + 1,
+            "{filled} accepted past a full queue and one busy worker"
+        );
+        assert_eq!(full.submitted, 50 * RACERS as u64);
+        assert_eq!(full.rejected, full.submitted - filled as u64);
+        assert!(
+            drained.queue_peak <= CAPACITY,
+            "bounded queue overshot: peak {} > {CAPACITY}",
+            drained.queue_peak
+        );
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
     }
 
     #[test]

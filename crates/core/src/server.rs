@@ -11,28 +11,41 @@
 //! pool drains a shared request queue and resolves per-request completion
 //! tickets or callbacks, so idle sessions cost no thread at all.
 //!
-//! ## Strict commit mode (batched Fig. 6 counter)
+//! ## Strict commit mode (one commit window per mutation)
 //! A server built with [`TmsServer::with_commit_counter`] couples every
-//! *state-changing* request to the rollback counter: after the engine has
-//! durably committed the change (sealed WAL batch, Fig. 6's "persist
-//! first" half), the request joins the [`BatchedCounter`] group commit and
-//! only returns once a counter increment issued after its database commit
-//! has completed. Concurrent writers therefore coalesce into one counter
-//! increment per batch window — the counter stops being the throughput
-//! ceiling — while the crash-safety ordering of the Fig. 6 protocol is
-//! preserved: no request is acknowledged before both its WAL batch and a
-//! covering increment are durable.
+//! *state-changing* request to the rollback counter, and does it inside the
+//! one window the request already waits on: the engine stages a client
+//! mutation's commit *covered* (`Db::commit_stage_covered`), and the leader
+//! of its WAL window — after the window's single sync returned `Ok`, before
+//! it posts the window's verdict — performs **one**
+//! [`BatchedCounter::cover`]`(n)` for the `n` client mutations the window
+//! carried. So a mutation parks once, on its commit ticket; nobody queues
+//! for the counter; concurrent writers share one sync *and* one increment;
+//! and the Fig. 6 order — persist first, cover with the counter, then
+//! acknowledge — holds per window: no request is acknowledged before an
+//! increment issued *after its window's sync* has completed. The increment
+//! runs on whichever thread led the window (usually a request's own
+//! `redeem`, which then books it as `Stage::CounterCommit`).
+//!
+//! A cover failure is its window's verdict: every mutation in the window
+//! returns `Err` un-acknowledged while its state is durable and visible —
+//! what a failed counter commit has always meant here; the next window
+//! increments afresh. Replication applies, catch-up and migration imports
+//! stage uncovered (the client's mutation was covered on the shard that
+//! took it), so [`crate::counterfile::BatchStats::ops_committed`] counts
+//! exactly the client mutations acknowledged, and `increments` the WAL
+//! windows that carried one.
 //!
 //! ## Stage, then redeem
 //! [`TmsServer::handle`] is [`TmsServer::stage`] followed by
 //! [`Staged::redeem`]: `stage` runs the engine operation up to the point
 //! where a mutation's commit sits in the WAL's group-commit window (applied
-//! and visible, not yet synced), `redeem` waits for that window's verdict,
-//! joins the counter commit and counts the outcome. A caller with
-//! independent work to do — a replica group's primary forwarding the delta
-//! to its followers — does it between the two, so the WAL sync and the wire
-//! overlap instead of running back to back. Nothing is acknowledged before
-//! `redeem` returns `Ok`, so what an acknowledgement means is unchanged.
+//! and visible, not yet synced or covered), `redeem` waits for that
+//! window's verdict and counts the outcome. A caller with independent work
+//! to do — a replica group's primary forwarding the delta to its followers —
+//! does it between the two, so the WAL sync and the wire overlap instead of
+//! running back to back. Nothing is acknowledged before `redeem` returns
+//! `Ok`, so what an acknowledgement means is unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,7 +54,7 @@ use palaemon_telemetry::{trace, Collect, MetricSink, Stage};
 
 use palaemon_crypto::sig::VerifyingKey;
 use palaemon_crypto::Digest;
-use palaemon_db::CommitTicket;
+use palaemon_db::{CommitCover, CommitTicket, DbError};
 use shielded_fs::fs::TagEvent;
 use tee_sim::quote::Quote;
 
@@ -155,8 +168,8 @@ pub enum TmsRequest {
 }
 
 impl TmsRequest {
-    /// True when the request mutates service state (and therefore joins
-    /// the batched Fig. 6 counter commit in strict commit mode).
+    /// True when the request mutates service state (and is therefore
+    /// covered by the Fig. 6 counter in strict commit mode).
     pub fn is_mutation(&self) -> bool {
         matches!(
             self,
@@ -300,30 +313,21 @@ pub struct Staged<'a> {
 
 impl Staged<'_> {
     /// The second half of [`TmsServer::handle`]: waits for the staged
-    /// commit's durability verdict, then — in strict commit mode — covers
-    /// it with a (batched) Fig. 6 counter increment, and counts the request
-    /// as ok or failed. Non-mutations have nothing to wait for.
+    /// commit's window verdict — durable and, in strict commit mode, covered
+    /// by the window leader's Fig. 6 counter increment — and counts the
+    /// request as ok or failed. Non-mutations have nothing to wait for.
     ///
     /// # Errors
-    /// The commit window's storage failure, or the counter commit's.
+    /// The commit window's storage failure, or its cover's.
     pub fn redeem(self) -> Result<TmsResponse> {
-        let server = self.server;
         let committed = self.ticket.map_or(Ok(()), |ticket| {
             let sync = trace::start();
-            let durable = ticket.wait();
+            let verdict = ticket.wait();
             trace::finish(Stage::EngineApply, sync);
-            durable?;
-            if let Some(counter) = &server.commit_counter {
-                // State is durable; cover it with a (batched) Fig. 6
-                // counter increment before acknowledging.
-                let commit = trace::start();
-                let covered = counter.commit();
-                trace::finish(Stage::CounterCommit, commit);
-                covered?;
-            }
-            Ok(())
+            verdict
         });
-        server.count(committed.map(|()| self.response))
+        self.server
+            .count(committed.map(|()| self.response).map_err(Into::into))
     }
 }
 
@@ -338,9 +342,27 @@ impl TmsServer {
         }
     }
 
-    /// Serves `engine` in strict commit mode: every mutating request joins
-    /// `counter`'s group commit after its database commit.
+    /// Serves `engine` in strict commit mode: installs `counter` as the
+    /// cover of the engine's commit windows, so every client mutation is
+    /// acknowledged only behind a `counter` increment issued after its
+    /// window's sync (see the module docs).
+    ///
+    /// # Panics
+    /// When `engine` already serves another commit counter.
     pub fn with_commit_counter(engine: Arc<Palaemon>, counter: Arc<BatchedCounter>) -> Self {
+        let cover: CommitCover = {
+            let counter = Arc::clone(&counter);
+            Arc::new(move |mutations| {
+                let increment = trace::start();
+                let covered = counter.cover(mutations);
+                trace::finish(Stage::CounterCommit, increment);
+                match covered {
+                    Ok(_) => Ok(()),
+                    Err(e) => Err(DbError::Storage(format!("rollback counter: {e}"))),
+                }
+            })
+        };
+        engine.install_commit_cover(cover);
         TmsServer {
             engine,
             commit_counter: Some(counter),
@@ -509,14 +531,25 @@ mod tests {
     use palaemon_crypto::aead::AeadKey;
     use palaemon_crypto::sig::SigningKey;
     use palaemon_db::Db;
-    use shielded_fs::store::MemStore;
+    use shielded_fs::store::{BlockStore, BufferedStore, MemStore};
     use tee_sim::platform::{Microcode, Platform};
     use tee_sim::quote::{create_report, quote_report};
 
+    const DB_KEY: [u8; 32] = [5; 32];
+
     fn server(strict: bool) -> (TmsServer, Platform, Digest, VerifyingKey) {
+        let counter = strict.then(|| Arc::new(BatchedCounter::new(MemFileCounter::new())));
+        server_over(Box::new(MemStore::new()), counter)
+    }
+
+    /// A server over `store` — strict when given a counter — holding policy
+    /// `srv` (service `app`, volume `data`).
+    fn server_over(
+        store: Box<dyn BlockStore>,
+        counter: Option<Arc<BatchedCounter>>,
+    ) -> (TmsServer, Platform, Digest, VerifyingKey) {
         let platform = Platform::new("srv-host", Microcode::PostForeshadow);
-        let db =
-            Db::create(Box::new(MemStore::new()), AeadKey::from_bytes([5; 32])).expect("create db");
+        let db = Db::create(store, AeadKey::from_bytes(DB_KEY)).expect("create db");
         let engine = Arc::new(Palaemon::new(
             db,
             SigningKey::from_seed(b"srv"),
@@ -524,13 +557,9 @@ mod tests {
             13,
         ));
         engine.register_platform(platform.id(), platform.qe_verifying_key());
-        let server = if strict {
-            TmsServer::with_commit_counter(
-                engine,
-                Arc::new(BatchedCounter::new(MemFileCounter::new())),
-            )
-        } else {
-            TmsServer::new(engine)
+        let server = match counter {
+            Some(counter) => TmsServer::with_commit_counter(engine, counter),
+            None => TmsServer::new(engine),
         };
         let mre = Digest::from_bytes([0x31; 32]);
         let owner = SigningKey::from_seed(b"owner").verifying_key();
@@ -692,6 +721,156 @@ mod tests {
             6,
             "reads must not touch the counter"
         );
+    }
+
+    #[test]
+    fn strict_writers_pay_one_increment_per_commit_window() {
+        let (server, platform, mre, _) = server(true);
+        let sessions: Vec<SessionId> = (0..8).map(|_| attest(&server, &platform, mre)).collect();
+        let before = server.stats();
+        let windows_before = server.engine().db_stats().wal_windows;
+        std::thread::scope(|scope| {
+            for (t, &session) in sessions.iter().enumerate() {
+                let server = server.clone();
+                scope.spawn(move || {
+                    for i in 0..20u8 {
+                        server
+                            .handle(TmsRequest::PushTag {
+                                session,
+                                volume: "data".into(),
+                                tag: Digest::from_bytes([t as u8 * 20 + i; 32]),
+                                event: TagEvent::Sync,
+                            })
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let after = server.stats();
+        let (c0, c1) = (before.counter.unwrap(), after.counter.unwrap());
+        assert_eq!(c1.ops_committed - c0.ops_committed, 160);
+        // Every commit meanwhile was a covered PushTag, so every window
+        // flushed meanwhile paid exactly one increment — nobody queued for
+        // the counter on their own.
+        assert_eq!(
+            c1.increments - c0.increments,
+            server.engine().db_stats().wal_windows - windows_before,
+        );
+        assert_eq!((after.ok + after.failed) - (before.ok + before.failed), 160);
+        assert_eq!(after.failed, 0);
+    }
+
+    #[test]
+    fn a_failed_cover_fails_the_request_unacked_with_its_state_visible() {
+        /// Fails exactly its second increment.
+        struct Flaky(u64);
+        impl crate::counterfile::MonotonicCounter for Flaky {
+            fn increment(&mut self) -> Result<u64> {
+                self.0 += 1;
+                if self.0 == 2 {
+                    return Err(crate::PalaemonError::Tee("counter device glitch".into()));
+                }
+                Ok(self.0)
+            }
+        }
+        let counter = Arc::new(BatchedCounter::new(Flaky(0)));
+        // Increment 1 covers the fixture's CreatePolicy.
+        let (server, platform, mre, _) =
+            server_over(Box::new(MemStore::new()), Some(Arc::clone(&counter)));
+        let session = attest(&server, &platform, mre);
+        let push = |byte: u8| {
+            server.handle(TmsRequest::PushTag {
+                session,
+                volume: "data".into(),
+                tag: Digest::from_bytes([byte; 32]),
+                event: TagEvent::Sync,
+            })
+        };
+        let err = push(1).unwrap_err();
+        assert!(
+            matches!(&err, crate::PalaemonError::Db(why) if why.contains("counter device glitch")),
+            "the cover's failure is the request's: {err:?}"
+        );
+        // Un-acked and uncounted, yet applied: exactly a failed counter commit.
+        assert_eq!(counter.stats().ops_committed, 1);
+        assert_eq!(server.stats().failed, 1);
+        match server
+            .handle(TmsRequest::ReadTag {
+                session,
+                volume: "data".into(),
+            })
+            .unwrap()
+        {
+            TmsResponse::Tag(Some(rec)) => assert_eq!(rec.tag, Digest::from_bytes([1; 32])),
+            other => panic!("expected the un-acked tag to be visible, got {other:?}"),
+        }
+        // The next window increments afresh.
+        push(2).unwrap();
+        assert_eq!(counter.stats().ops_committed, 2);
+        assert_eq!(counter.value(), 3);
+    }
+
+    #[test]
+    fn an_ack_means_in_the_crash_image_and_covered_after_its_sync() {
+        /// A counter device that photographs the database's crash image —
+        /// what a power cut at that instant would leave — at every increment.
+        struct Imaging {
+            device: Arc<AtomicU64>,
+            disk: MemStore,
+            images: Arc<std::sync::Mutex<Vec<(u64, MemStore)>>>,
+        }
+        impl crate::counterfile::MonotonicCounter for Imaging {
+            fn increment(&mut self) -> Result<u64> {
+                let value = self.device.fetch_add(1, Ordering::SeqCst) + 1;
+                let image = MemStore::new();
+                image.restore(self.disk.snapshot());
+                self.images.lock().unwrap().push((value, image));
+                Ok(value)
+            }
+        }
+        let disk = MemStore::new();
+        let buffered = BufferedStore::new(disk.clone());
+        let device = Arc::new(AtomicU64::new(0));
+        let images = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let counter = Arc::new(BatchedCounter::new(Imaging {
+            device: Arc::clone(&device),
+            disk: disk.clone(),
+            images: Arc::clone(&images),
+        }));
+        let (server, platform, mre, _) =
+            server_over(Box::new(buffered.clone()), Some(Arc::clone(&counter)));
+        let session = attest(&server, &platform, mre);
+        let tag = Digest::from_bytes([0xAC; 32]);
+        server
+            .handle(TmsRequest::PushTag {
+                session,
+                volume: "data".into(),
+                tag,
+                event: TagEvent::Sync,
+            })
+            .unwrap();
+        let covering = counter.value();
+        let holds_the_tag = |image: MemStore| {
+            let db = Db::open(Box::new(image), AeadKey::from_bytes(DB_KEY)).expect("reopen");
+            db.get(b"tag/srv/data")
+                .is_some_and(|v| v.starts_with(tag.as_bytes()))
+        };
+        // The increment that covered the ack was issued after the sync that
+        // made the mutation durable: the image it saw already holds it.
+        let (_, at_cover) = images
+            .lock()
+            .unwrap()
+            .iter()
+            .find(|(value, _)| *value == covering)
+            .cloned()
+            .expect("the covering increment was performed");
+        assert!(holds_the_tag(at_cover), "covered before durable");
+        // Power cut after the ack: everything past the last sync is gone, the
+        // mutation is not, and the counter reads back at or past its cover.
+        drop(server);
+        buffered.crash();
+        assert!(holds_the_tag(disk), "acked mutation lost by the crash");
+        assert!(device.load(Ordering::SeqCst) >= covering);
     }
 
     #[test]

@@ -50,16 +50,21 @@
 //! (`CommitTicket::wait`) holding **no** engine lock — so one writer's
 //! `sync` never blocks other writers from staging, and commits group into
 //! shared windows. Condvar waits hold only the `window` mutex; the leader
-//! releases it before sealing and syncing under `wal`.
+//! releases it before sealing and syncing under `wal`, and holds neither
+//! while it runs the window's cover — on a strict engine (one built into a
+//! [`crate::server::TmsServer::with_commit_counter`] server) the Fig. 6
+//! counter increment that client mutations stage *covered* by, which takes
+//! the counter's own leaf locks.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use palaemon_crypto::aead::AeadKey;
 use palaemon_crypto::randutil;
 use palaemon_crypto::sig::{SigningKey, VerifyingKey};
 use palaemon_crypto::Digest;
-use palaemon_db::{Bytes, ChangeSet, CommitTicket, Db, DbView};
+use palaemon_db::{Bytes, ChangeSet, CommitCover, CommitTicket, Db, DbStats, DbView};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -342,6 +347,12 @@ struct ApprovalState {
 /// the module docs for the lock domains and lock order.
 pub struct Palaemon {
     db: RwLock<Db>,
+    /// The Fig. 6 cover of a strict shard, installed once by
+    /// [`crate::server::TmsServer::with_commit_counter`]: client mutations
+    /// stage *covered* by it, so their WAL window's leader increments the
+    /// rollback counter before any of them is acknowledged. Unset on a
+    /// non-strict engine.
+    commit_cover: OnceLock<CommitCover>,
     rng: Mutex<StdRng>,
     identity: SigningKey,
     mrenclave: Digest,
@@ -388,6 +399,7 @@ impl Palaemon {
     pub fn new(db: Db, identity: SigningKey, mrenclave: Digest, seed: u64) -> Self {
         Palaemon {
             db: RwLock::new(db),
+            commit_cover: OnceLock::new(),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             identity,
             mrenclave,
@@ -460,6 +472,37 @@ impl Palaemon {
     /// A lock-free point-in-time snapshot of the service database.
     fn db_view(&self) -> DbView {
         self.db.read().view()
+    }
+
+    /// The storage engine's runtime statistics (read-only).
+    pub fn db_stats(&self) -> DbStats {
+        self.db.read().stats()
+    }
+
+    /// Makes this a strict engine: from here on every client mutation's
+    /// commit is covered by `cover` (see [`Palaemon::stage_commit`]). An
+    /// engine takes one cover for life.
+    ///
+    /// # Panics
+    /// When a cover is already installed — two counters cannot both account
+    /// for one database's commit windows.
+    pub(crate) fn install_commit_cover(&self, cover: CommitCover) {
+        assert!(
+            self.commit_cover.set(cover).is_ok(),
+            "engine already serves a commit counter"
+        );
+    }
+
+    /// Stages a *client* mutation's commit (called with the db write lock
+    /// held, after the mutation's last write): covered by the shard's
+    /// rollback counter on a strict engine, plain otherwise. Replication
+    /// applies, catch-up and migration stage with `Db::commit_stage`
+    /// directly — the mutation was covered where a client submitted it.
+    fn stage_commit(&self, db: &mut Db) -> CommitTicket {
+        match self.commit_cover.get() {
+            Some(cover) => db.commit_stage_covered(cover),
+            None => db.commit_stage(),
+        }
     }
 
     /// Turns on change capture: from here on every mutating operation
@@ -576,11 +619,12 @@ impl Palaemon {
     }
 
     /// [`Palaemon::create_policy`] up to, not including, the durability
-    /// wait: checks, writes and `Db::commit_stage` under the db write
-    /// guard. The policy is visible at once but **durable only once the
-    /// returned ticket is redeemed** — the split every `stage_*` mutation
-    /// below shares, so a caller can overlap other work (a replication
-    /// forward) with the WAL sync.
+    /// wait: checks, writes and the staged commit under the db write
+    /// guard. The policy is visible at once but **durable — and, on a strict
+    /// engine, covered by the rollback counter — only once the returned
+    /// ticket is redeemed**: the split every `stage_*` mutation below
+    /// shares, so a caller can overlap other work (a replication forward)
+    /// with the WAL sync.
     ///
     /// # Errors
     /// As for [`Palaemon::create_policy`], minus the commit failures the
@@ -662,7 +706,7 @@ impl Palaemon {
             format!("owner/{}", policy.name).into_bytes(),
             owner.to_u64().to_be_bytes().to_vec(),
         );
-        let ticket = db.commit_stage();
+        let ticket = self.stage_commit(&mut db);
         self.capture_stash(&mut db, &policy.name);
         // Release the write guard first, so the locals declared under it
         // are not torn down inside the critical section (every `stage_*`).
@@ -835,7 +879,7 @@ impl Palaemon {
         drop(rng);
 
         db.put(format!("policy/{name}").into_bytes(), new_policy.encode());
-        let ticket = db.commit_stage();
+        let ticket = self.stage_commit(&mut db);
         self.capture_stash(&mut db, &name);
         drop(db);
         Ok(ticket)
@@ -903,7 +947,7 @@ impl Palaemon {
                 db.delete(format!("export-volume/{target}/{name}/{}", vol.name).as_bytes());
             }
         }
-        let ticket = db.commit_stage();
+        let ticket = self.stage_commit(&mut db);
         self.capture_stash(&mut db, name);
         drop(db);
         Ok(ticket)
@@ -1129,7 +1173,7 @@ impl Palaemon {
         let mut db = self.db.write();
         self.capture_begin(&mut db);
         db.put(format!("tag/{policy}/{volume}").into_bytes(), value);
-        let ticket = db.commit_stage();
+        let ticket = self.stage_commit(&mut db);
         self.capture_stash(&mut db, &policy);
         drop(db);
         Ok(ticket)
@@ -1169,7 +1213,7 @@ impl Palaemon {
         let mut db = self.db.write();
         self.capture_begin(&mut db);
         db.delete(format!("tag/{policy}/{volume}").as_bytes());
-        let ticket = db.commit_stage();
+        let ticket = self.stage_commit(&mut db);
         self.capture_stash(&mut db, policy);
         drop(db);
         ticket
@@ -1279,9 +1323,11 @@ impl Palaemon {
     }
 
     /// Applies forwarded export records for consumer policy `target` as
-    /// one committed batch, attributed to `target`'s change capture so the
-    /// rows ride `target`'s incremental-delta chain to this group's
-    /// followers. An empty batch is a no-op (no spurious delta).
+    /// one committed batch — a client mutation of this engine, so on a
+    /// strict shard it is covered by the rollback counter like any other —
+    /// attributed to `target`'s change capture so the rows ride `target`'s
+    /// incremental-delta chain to this group's followers. An empty batch is
+    /// a no-op (no spurious delta, nothing counted).
     ///
     /// # Errors
     /// Database commit failures.
@@ -1302,7 +1348,7 @@ impl Palaemon {
         for key in tombstones {
             db.delete(key);
         }
-        let ticket = db.commit_stage();
+        let ticket = self.stage_commit(&mut db);
         self.capture_stash(&mut db, target);
         drop(db);
         ticket.wait()?;

@@ -12,8 +12,10 @@
 //!   round trip, and [`Db::view`] snapshots are O(1);
 //! * [`Db::commit`] (or [`Db::commit_stage`] + [`CommitTicket::wait`] for
 //!   concurrent writers) group-commits: every commit staged into the same
-//!   flush window rides **one** sealed WAL batch and **one** `sync` — the
-//!   paper's Fig. 6 group-commit trick applied to the storage engine.
+//!   flush window rides **one** sealed WAL batch and **one** `sync` — and,
+//!   for commits staged with [`Db::commit_stage_covered`], **one**
+//!   [`CommitCover`] call (the Fig. 6 counter increment) made by the
+//!   window's leader between that sync and the acknowledgement.
 //!
 //! Integrity: every WAL batch and snapshot is AEAD-bound to its sequence
 //! number, so record tampering and reordering are detected at open. A
@@ -25,7 +27,9 @@
 pub mod store;
 pub mod tree;
 
-pub use store::{ChangeSet, CommitTicket, Db, DbError, DbStats, DbView, Puts, Tombstones};
+pub use store::{
+    ChangeSet, CommitCover, CommitTicket, Db, DbError, DbStats, DbView, Puts, Tombstones,
+};
 pub use tree::Bytes;
 
 /// Convenience alias for results in this crate.

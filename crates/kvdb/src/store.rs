@@ -6,34 +6,44 @@
 //! [`Db::view`] hands out O(1) snapshots (one `Arc` bump), and a write under
 //! outstanding views pays an O(log n) path copy instead of cloning the
 //! table. Durability runs through a shared [`WalShared`] core so commits
-//! group-commit across writer threads, exactly like the Fig. 6 rollback
-//! counter's `BatchedCounter`:
+//! group-commit across writer threads:
 //!
 //! * [`Db::commit_stage`] appends the handle's pending ops into the current
 //!   *window* under the window mutex and returns a [`CommitTicket`] — cheap,
 //!   done while the caller still holds whatever outer lock serializes table
-//!   mutation (in PALÆMON, the engine's db write lock);
+//!   mutation (in PALÆMON, the engine's db write lock).
+//!   [`Db::commit_stage_covered`] does the same and also counts the commit
+//!   towards the window's [`CommitCover`];
 //! * [`CommitTicket::wait`] — called **after** dropping that outer lock —
-//!   elects one committer per window as leader. The leader seals everything
-//!   staged in the window as **one** WAL batch, bumps meta, and performs the
-//!   single `store.sync()`; followers park on a condvar (re-checking every
-//!   flush window, default 1 ms) and wake with the leader's verdict. While a
-//!   leader syncs, new committers stage into the *next* window, so the sync
-//!   cost amortizes across every writer that arrives during it.
+//!   elects one committer per window as leader. The leader runs the window
+//!   start to finish: **seal** everything staged in it as one WAL batch,
+//!   bump **meta**, perform the single `store.sync()`, then — if the window
+//!   carried covered commits — call the **cover** once with their count, and
+//!   only then post the **verdict**. Followers park on a condvar and wake
+//!   with that verdict, so no ticket of a window reads `Ok` before a cover
+//!   issued *after that window's sync* has returned `Ok`; a failed sync or a
+//!   failed cover fails every ticket of the window alike. While a leader
+//!   runs, new committers stage into the *next* window, so the sync (and
+//!   the cover) amortize across every writer that arrives meanwhile.
 //!
 //! Crash recovery lands on a committed-window boundary: a window's ops are
 //! one sealed WAL blob written before the meta bump, so either the whole
-//! window replays or none of it does — never a tear inside a window.
+//! window replays or none of it does — never a tear inside a window. A
+//! window whose cover failed is durable and visible all the same; it is
+//! merely never acknowledged.
 //!
 //! Lock order inside this crate: `window` before `wal`. The leader drops
-//! the window mutex before sealing/syncing under the `wal` mutex, so
-//! followers' condvar waits never hold the store hostage.
+//! the window mutex before sealing/syncing under the `wal` mutex, and runs
+//! the cover under **neither**, so followers' condvar waits never hold the
+//! store hostage and a cover may take whatever locks its owner needs. The
+//! verdict is posted, and every waiter's predicate re-checked, under the
+//! `window` mutex, so a wakeup cannot be lost and the waits carry no timeout.
 
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use palaemon_crypto::aead::AeadKey;
 use palaemon_crypto::wire::{Decoder, Encoder};
@@ -64,11 +74,16 @@ impl StdError for DbError {}
 
 const META_BLOB: &str = "db-meta";
 
-/// Follower park quantum / leader-wait bound of the group-commit window.
-pub const DEFAULT_FLUSH_WINDOW: Duration = Duration::from_millis(1);
-
 /// Window-failure verdicts retained for late [`CommitTicket::wait`] calls.
 const FAILURE_MEMORY: usize = 64;
+
+/// What covers a window's commits before any of them is acknowledged — in
+/// PALÆMON, the Fig. 6 rollback-counter increment. The window's leader calls
+/// it **once**, with the number of covered commits the window carried
+/// ([`Db::commit_stage_covered`]), after the window's `sync` returned `Ok`
+/// and before it posts the verdict; an `Err` *is* that verdict. It runs on
+/// the leader's thread, holding no lock of this crate.
+pub type CommitCover = Arc<dyn Fn(u32) -> Result<(), DbError> + Send + Sync>;
 
 fn wal_blob(seq: u64) -> String {
     format!("db-wal-{seq:016x}")
@@ -200,7 +215,8 @@ pub struct DbStats {
     pub keys: usize,
     /// WAL batches pending checkpoint.
     pub wal_batches: u64,
-    /// Group-commit windows flushed (each is one sealed batch + one sync).
+    /// Group-commit windows flushed and acknowledged (each is one sealed
+    /// batch, one sync and — when it carried covered commits — one cover).
     pub wal_windows: u64,
     /// Histogram of commits coalesced per flushed window:
     /// `(commits_in_window, windows_observed)`. Conservation invariant:
@@ -252,6 +268,9 @@ struct WindowState {
     staged_count: u32,
     /// Commits (tickets) staged into the open window.
     staged_commits: u32,
+    /// The cover the open window owes, and how many of its commits were
+    /// staged covered (`None`: none were, the leader calls nothing).
+    staged_cover: Option<(CommitCover, u32)>,
     /// Index of the open window. A leader taking the window bumps this, so
     /// late stagers land in the next window while the sync runs.
     epoch: u64,
@@ -261,6 +280,9 @@ struct WindowState {
     leader_running: bool,
     /// Failed windows (bounded memory; see [`FAILURE_MEMORY`]).
     failures: Vec<(u64, DbError)>,
+    /// Highest failed epoch evicted from `failures`: no window at or below
+    /// it can be told from a forgotten failure any more.
+    forgotten_through: Option<u64>,
     // Stats (owned here so leaders update them under the window mutex).
     commits: u64,
     wal_windows: u64,
@@ -270,16 +292,23 @@ struct WindowState {
 }
 
 impl WindowState {
+    /// The verdict of flushed window `epoch`. Conservative once failures
+    /// have been evicted: an epoch old enough to have been one of them reads
+    /// `Err` (a forgotten success may too — never a failure as `Ok`).
     fn verdict(&self, epoch: u64) -> Result<(), DbError> {
         match self.failures.iter().find(|(e, _)| *e == epoch) {
             Some((_, err)) => Err(err.clone()),
+            None if self.forgotten_through >= Some(epoch) => {
+                Err(DbError::Storage("verdict expired".into()))
+            }
             None => Ok(()),
         }
     }
 
     fn note_failure(&mut self, epoch: u64, err: DbError) {
         if self.failures.len() >= FAILURE_MEMORY {
-            self.failures.remove(0);
+            // Epochs are noted in increasing order: the oldest is first.
+            self.forgotten_through = Some(self.failures.remove(0).0);
         }
         self.failures.push((epoch, err));
     }
@@ -306,19 +335,25 @@ impl WalShared {
     }
 
     /// Takes the open window (caller observed `!leader_running`), seals and
-    /// flushes everything staged in it, posts the verdict and wakes the
-    /// followers. Returns that verdict.
+    /// flushes everything staged in it, covers its covered commits, posts
+    /// the verdict and wakes the followers. Returns that verdict.
     fn lead(&self, mut st: MutexGuard<'_, WindowState>) -> Result<(), DbError> {
         debug_assert!(!st.leader_running);
         let buf = std::mem::take(&mut st.staged_buf);
         let count = std::mem::replace(&mut st.staged_count, 0);
         let commits = std::mem::replace(&mut st.staged_commits, 0);
+        let cover = st.staged_cover.take();
         let epoch = st.epoch;
         st.epoch += 1;
         st.leader_running = true;
         drop(st);
 
-        let result = self.flush(&buf, count);
+        // Persist first, then cover, then acknowledge (Fig. 6): the cover is
+        // issued only after this window's sync, under neither mutex.
+        let result = self.flush(&buf, count).and_then(|()| match cover {
+            Some((cover, covered)) => cover(covered),
+            None => Ok(()),
+        });
 
         let mut st = self.window.lock().unwrap();
         st.leader_running = false;
@@ -405,14 +440,9 @@ impl CommitTicket {
                 shared.wait_hist.record(start.elapsed().as_nanos() as u64);
                 return result;
             }
-            // Follower: park until the leader posts a verdict. The timeout
-            // re-checks every flush window so a lost wakeup can only add
-            // bounded latency, never a hang.
-            st = shared
-                .window_cv
-                .wait_timeout(st, DEFAULT_FLUSH_WINDOW)
-                .unwrap()
-                .0;
+            // Follower: park until a leader posts a verdict (posted, like
+            // this predicate is checked, under the window mutex).
+            st = shared.window_cv.wait(st).unwrap();
         }
     }
 }
@@ -689,6 +719,21 @@ impl Db {
     /// Cheap (one short mutex hold, no I/O): call it while still holding
     /// the outer write lock, then drop that lock and [`CommitTicket::wait`].
     pub fn commit_stage(&mut self) -> CommitTicket {
+        self.stage(None)
+    }
+
+    /// [`Db::commit_stage`] for a commit that must be *covered* before it is
+    /// acknowledged: under the same window-mutex hold that appends its ops,
+    /// the commit is counted towards the one `cover(n)` call the window's
+    /// leader makes between the window's sync and its verdict (see
+    /// [`CommitCover`]). A handle with nothing pending stages nothing and is
+    /// not counted. Every covered commit of one database passes the same
+    /// cover.
+    pub fn commit_stage_covered(&mut self, cover: &CommitCover) -> CommitTicket {
+        self.stage(Some(cover))
+    }
+
+    fn stage(&mut self, cover: Option<&CommitCover>) -> CommitTicket {
         if self.pending_count == 0 {
             return CommitTicket { inner: None };
         }
@@ -696,6 +741,11 @@ impl Db {
         st.staged_buf.append(&mut self.pending_buf);
         st.staged_count += self.pending_count;
         st.staged_commits += 1;
+        if let Some(cover) = cover {
+            st.staged_cover
+                .get_or_insert_with(|| (Arc::clone(cover), 0))
+                .1 += 1;
+        }
         let epoch = st.epoch;
         drop(st);
         self.pending_count = 0;
@@ -715,8 +765,9 @@ impl Db {
     }
 
     /// Writes a full snapshot and truncates the WAL. Drains any in-flight
-    /// or orphaned (staged but never waited) windows first, so the snapshot
-    /// supersedes exactly the WAL it garbage-collects.
+    /// or orphaned (staged but never waited) windows first — leading them
+    /// here, cover included — so the snapshot supersedes exactly the WAL it
+    /// garbage-collects.
     ///
     /// # Errors
     /// Propagates storage sync failures; commits pending operations first.
@@ -728,12 +779,7 @@ impl Db {
         loop {
             let st = self.shared.window.lock().unwrap();
             if st.leader_running {
-                drop(
-                    self.shared
-                        .window_cv
-                        .wait_timeout(st, DEFAULT_FLUSH_WINDOW)
-                        .unwrap(),
-                );
+                drop(self.shared.window_cv.wait(st).unwrap());
                 continue;
             }
             if st.staged_count == 0 {
@@ -863,6 +909,7 @@ fn decode_tree(bytes: &[u8]) -> Result<Tree, DbError> {
 mod tests {
     use super::*;
     use shielded_fs::store::{BufferedStore, FaultyStore, MemStore};
+    use std::time::Duration;
 
     fn key() -> AeadKey {
         AeadKey::from_bytes([3u8; 32])
@@ -1492,6 +1539,156 @@ mod tests {
                 }
                 Err(e) => panic!("crash recovery must not corrupt (fuse={fuse}): {e}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_failed_windows_verdict_expires_instead_of_reading_durable() {
+        // A ticket of a failed window redeemed after the failure memory has
+        // turned over must not read "durable".
+        let buffered = BufferedStore::new(MemStore::new());
+        let mut db = Db::create(Box::new(buffered.clone()), key()).unwrap();
+        buffered.fail_after(0);
+        db.put(b"late".as_slice(), b"1".as_slice());
+        let late = db.commit_stage();
+        db.put(b"lead".as_slice(), b"1".as_slice());
+        assert!(db.commit().is_err(), "window 0 fails (led by its peer)");
+        for i in 0..FAILURE_MEMORY {
+            db.put(format!("k{i}").into_bytes(), b"v".as_slice());
+            assert!(db.commit().is_err());
+        }
+        assert_eq!(
+            late.wait(),
+            Err(DbError::Storage("verdict expired".into())),
+            "window 0's failure was evicted; its ticket must still not ack"
+        );
+        // Failures still in memory keep their own error, and the store
+        // recovering does not resurrect the expired range.
+        db.put(b"recent".as_slice(), b"1".as_slice());
+        let recent = db.commit_stage();
+        assert!(matches!(recent.wait(), Err(DbError::Storage(why)) if why != "verdict expired"));
+    }
+
+    /// A store that writes `sync` into an order log.
+    struct LoggedSync(MemStore, Arc<Mutex<Vec<String>>>);
+
+    impl BlockStore for LoggedSync {
+        fn get(&self, name: &str) -> Option<Vec<u8>> {
+            self.0.get(name)
+        }
+        fn put(&self, name: &str, data: Vec<u8>) {
+            self.0.put(name, data);
+        }
+        fn delete(&self, name: &str) {
+            self.0.delete(name);
+        }
+        fn list(&self) -> Vec<String> {
+            self.0.list()
+        }
+        fn sync(&self) -> shielded_fs::Result<()> {
+            self.1.lock().unwrap().push("sync".into());
+            self.0.sync()
+        }
+    }
+
+    #[test]
+    fn a_covered_window_pays_one_cover_after_its_sync_and_before_any_verdict() {
+        let log = Arc::new(Mutex::new(Vec::<String>::new()));
+        let mut db = Db::create(
+            Box::new(LoggedSync(MemStore::new(), Arc::clone(&log))),
+            key(),
+        )
+        .unwrap();
+        // Forget `create`'s own sync.
+        log.lock().unwrap().clear();
+
+        // Waiters that have reached `wait()`: the cover holds the window
+        // open until all three have, so the two followers are at the
+        // verdict's door while it runs.
+        let waiting = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let cover: CommitCover = {
+            let (log, waiting) = (Arc::clone(&log), Arc::clone(&waiting));
+            Arc::new(move |n| {
+                log.lock().unwrap().push(format!("cover({n})"));
+                while waiting.load(std::sync::atomic::Ordering::SeqCst) < 3 {
+                    std::thread::yield_now();
+                }
+                Ok(())
+            })
+        };
+        // One window: two covered commits and one uncovered.
+        let mut tickets = Vec::new();
+        for (i, covered) in [true, false, true].into_iter().enumerate() {
+            db.put(format!("k{i}").into_bytes(), b"v".as_slice());
+            tickets.push(if covered {
+                db.commit_stage_covered(&cover)
+            } else {
+                db.commit_stage()
+            });
+        }
+        std::thread::scope(|scope| {
+            for ticket in tickets {
+                let (log, waiting) = (Arc::clone(&log), Arc::clone(&waiting));
+                scope.spawn(move || {
+                    waiting.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    ticket.wait().unwrap();
+                    log.lock().unwrap().push("ok".into());
+                });
+            }
+        });
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["sync", "cover(2)", "ok", "ok", "ok"],
+            "one cover, counting the covered commits only, between sync and verdict"
+        );
+        // A window with no covered commit never calls the cover.
+        log.lock().unwrap().clear();
+        db.put(b"plain".as_slice(), b"v".as_slice());
+        db.commit().unwrap();
+        assert_eq!(*log.lock().unwrap(), ["sync"]);
+        assert_eq!(db.stats().wal_windows, 2);
+    }
+
+    #[test]
+    fn a_failed_cover_fails_its_whole_window_and_the_next_recovers() {
+        let inner = MemStore::new();
+        let buffered = BufferedStore::new(inner.clone());
+        let mut db = Db::create(Box::new(buffered.clone()), key()).unwrap();
+        let calls = Arc::new(Mutex::new(0u32));
+        let cover: CommitCover = {
+            let calls = Arc::clone(&calls);
+            Arc::new(move |_| {
+                let mut calls = calls.lock().unwrap();
+                *calls += 1;
+                if *calls == 1 {
+                    return Err(DbError::Storage("counter device glitch".into()));
+                }
+                Ok(())
+            })
+        };
+        db.put(b"covered".as_slice(), b"1".as_slice());
+        let covered = db.commit_stage_covered(&cover);
+        db.put(b"rider".as_slice(), b"2".as_slice());
+        let rider = db.commit_stage();
+        let glitch = Err(DbError::Storage("counter device glitch".into()));
+        assert_eq!(covered.wait(), glitch);
+        assert_eq!(rider.wait(), glitch, "the cover's failure is the window's");
+        // Un-acked, yet visible — and an unacknowledged window counts nowhere.
+        assert_eq!(db.get(b"covered"), Some(b"1".as_slice()));
+        assert_eq!(db.stats().commits, 0);
+        assert_eq!(db.stats().wal_windows, 0);
+        // The next window is covered and acknowledged as usual.
+        db.put(b"next".as_slice(), b"3".as_slice());
+        db.commit_stage_covered(&cover).wait().unwrap();
+        assert_eq!(*calls.lock().unwrap(), 2);
+        assert_eq!(db.stats().commits, 1);
+        // The failed window had synced before its cover ran: it is in the
+        // crash image like any other.
+        drop(db);
+        buffered.crash();
+        let db2 = Db::open(Box::new(inner), key()).unwrap();
+        for k in [b"covered".as_slice(), b"rider", b"next"] {
+            assert!(db2.get(k).is_some(), "{} lost", String::from_utf8_lossy(k));
         }
     }
 

@@ -23,11 +23,18 @@ pub enum Stage {
     QueueWait = 0,
     /// Engine dispatch: policy/session/attestation work inside
     /// `Palaemon`, **plus** — for a mutation — the wait for its WAL commit
-    /// window's sync. The two halves (`TmsServer::stage`, `Staged::redeem`)
-    /// accumulate into this one sample; on a replicated mutation the
-    /// forward enqueue runs between them.
+    /// window's verdict, the one wait a mutation has (sync and, on a strict
+    /// shard, the leader's counter increment). The two halves
+    /// (`TmsServer::stage`, `Staged::redeem`) accumulate into this one
+    /// sample; on a replicated mutation the forward enqueue runs between
+    /// them.
     EngineApply = 1,
-    /// The Fig. 6 batched rollback-counter commit covering a mutation.
+    /// The Fig. 6 rollback-counter increment covering a WAL commit window:
+    /// the increment's own duration, recorded only by the request whose
+    /// redeem *led* the window (one sample per window, not per mutation —
+    /// the window's other mutations wait for it inside
+    /// [`Stage::EngineApply`]). A child span of the leader's
+    /// `EngineApply`, not a sibling: that sample contains this one.
     CounterCommit = 2,
     /// Delta extraction + enqueue onto the follower forward channels
     /// (the replication path's `forward_lock` critical section).
