@@ -624,7 +624,6 @@ fn run_selfheal_mttr(platform: &Platform) -> (f64, u64, u64) {
         MonitorConfig {
             cadence: Duration::from_millis(5),
             probation_ticks: 1,
-            ..MonitorConfig::default()
         },
     );
     monitor.start();

@@ -34,8 +34,9 @@
 //!   follower's durable verdict, and acks at a configurable write quorum. A
 //!   quarantined primary fails over to the freshest in-quorum follower —
 //!   freshness decided by the Fig. 6 counter token, so a rolled-back
-//!   replica never wins — instead of taking its arc offline. Reinstated or
-//!   replacement replicas catch up over the warm-copy path before
+//!   replica never wins — instead of taking its arc offline. Reinstated,
+//!   replacement and monitor-healed replicas all return through one
+//!   convergence routine (digest-verified, cursor-bounded diffs) before
 //!   rejoining the quorum.
 //! * **Byzantine shard health** — periodic [`ClusterRouter::health_check`]
 //!   probes every replica and watches its rollback counters for
@@ -56,6 +57,7 @@
 
 pub mod fault;
 pub mod monitor;
+mod repair;
 pub mod ring;
 pub mod router;
 
@@ -63,8 +65,8 @@ pub use fault::{kill_server_at, kill_server_between, FaultKind, FaultPlan, Plann
 pub use monitor::{ClusterMonitor, MonitorConfig, TickReport};
 pub use ring::{HashRing, ShardId};
 pub use router::{
-    strict_shard, AntiEntropyOutcome, ClusterDoor, ClusterError, ClusterRouter, ClusterStats,
-    PolicyMove, QuarantineOutcome, ReadPreference, ReplicaHealth, ReplicaSetStatus, ReplicaStatus,
+    strict_shard, ClusterDoor, ClusterError, ClusterRouter, ClusterStats, PolicyMove,
+    QuarantineOutcome, ReadPreference, ReplicaHealth, ReplicaSetStatus, ReplicaStatus,
     ReplicationStats, ShardHealth, ShardPlan, ShardStats,
 };
 

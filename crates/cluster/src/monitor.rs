@@ -1,31 +1,32 @@
 //! Self-healing control plane: the background cluster monitor.
 //!
 //! Everything the cluster can do about a sick replica —
-//! [`ClusterRouter::health_check`], failover, catch-up,
+//! [`ClusterRouter::health_check`], failover,
 //! [`ClusterRouter::reinstate`] — is caller-driven; in production nobody
-//! is calling. A [`ClusterMonitor`] closes the loop (ROADMAP item 3,
-//! after Dstack's framing of verifiable state propagation that converges
-//! without an operator): a background thread sweeps the cluster on a
-//! configurable cadence, and every pass
+//! is calling. A [`ClusterMonitor`] closes the loop (after Dstack's
+//! framing of verifiable state propagation that converges without an
+//! operator): a background thread sweeps the cluster on a configurable
+//! cadence, and every pass is **probe → heal → sweep** over the one
+//! convergence routine the operator's `reinstate` also runs (the `repair`
+//! module: `converge` + `ReplicaSet::heal`):
 //!
-//! 1. **probes** — runs the router's health check, which quarantines
-//!    Byzantine replicas (probe failure, rollback-counter or freshness
-//!    regression) and fails groups over off their quarantined primaries;
-//! 2. **recovers dark groups** — a group whose seat died with no
-//!    electable successor is re-seated on the freshest probe-answering
-//!    survivor and the rest caught up from it
+//! 1. **probe** — the router's health check quarantines Byzantine
+//!    replicas (probe failure, rollback-counter or freshness regression)
+//!    and fails groups over off their quarantined primaries;
+//! 2. **heal dark groups** — a group whose seat died with no electable
+//!    successor is healed over its probe-answering replicas: re-seated on
+//!    the freshest, the rest converged onto it
 //!    ([`ClusterRouter::heal_dark_shard`]);
-//! 3. **runs anti-entropy** — wedged forward channels are fenced through
-//!    (releasing any writer parked on them), then per-policy (chain
-//!    cursor, content digest) pairs are compared across each group's
-//!    replicas and divergence is healed by cursor-bounded delta resend or
-//!    snapshot resync *before* the next mutation trips the chain check; a
-//!    quorum-demoted follower that ends the pass chain-complete is
-//!    re-admitted ([`ClusterRouter::anti_entropy_sweep`]);
-//! 4. **reforms the quorum** — a replica that stayed quarantined for
+//! 3. **sweep** — wedged forward channels are fenced through (releasing
+//!    any writer parked on them), then every live follower is converged
+//!    onto its seat — per policy by cursor advance, cursor-bounded delta
+//!    resend or snapshot resync, one sync per follower — *before* the next
+//!    mutation trips the chain check; a quorum-demoted follower that
+//!    converged is re-admitted ([`ClusterRouter::anti_entropy_sweep`]);
+//! 4. **heal after probation** — a replica that stayed quarantined for
 //!    [`MonitorConfig::probation_ticks`] consecutive passes but answers
-//!    probes again is rebuilt from the quorum's state and rejoined
-//!    ([`ClusterRouter::heal_quarantined`]).
+//!    probes again is healed — rebuilt from the seat, digest-verified —
+//!    and rejoined ([`ClusterRouter::heal_quarantined`]).
 //!
 //! Every autonomous action lands on the flight recorder
 //! ([`EventKind::AutoFailover`], [`EventKind::AntiEntropyRepair`],
@@ -40,12 +41,12 @@
 //! cadence.
 //!
 //! **Locking.** The monitor takes no locks of its own beyond its private
-//! probation book-keeping; each step uses the router's public/internal
-//! entry points, whose acquisition order is the dispatch order
-//! (`topology` read → group `forward_lock` → pipe `delivery` then
-//! `queue` → engine locks; `delivery` is never held across the wire, so a
-//! sweep's fence waits for at most one in-flight stage + sync) — see the
-//! lock-order note in [`crate::router`].
+//! probation book-keeping; each step is one router entry point holding one
+//! group's `forward_lock`, in the dispatch order (`topology` read → group
+//! `forward_lock` → pipe `delivery` then `queue` → engine locks;
+//! `delivery` is never held across the wire, so a fence waits for at most
+//! one in-flight stage + sync) — see the lock-order note in
+//! [`crate::router`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,10 +72,6 @@ pub struct MonitorConfig {
     /// "heal on the next tick"; higher values keep a flapping replica
     /// benched longer.
     pub probation_ticks: u32,
-    /// Whether the monitor rebuilds quarantined replicas at all. Off,
-    /// quarantine remains operator-owned ([`ClusterRouter::reinstate`])
-    /// while demotion healing and anti-entropy stay automatic.
-    pub heal_quarantined: bool,
 }
 
 impl Default for MonitorConfig {
@@ -82,7 +79,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             cadence: Duration::from_millis(250),
             probation_ticks: 2,
-            heal_quarantined: true,
         }
     }
 }
@@ -168,7 +164,7 @@ impl ClusterMonitor {
         // Seat map before the probe, so monitor-induced failovers are
         // attributed on the flight recorder.
         let seats_before: HashMap<ShardId, usize> = router
-            .monitor_shard_ids()
+            .shard_ids()
             .into_iter()
             .filter_map(|id| router.replica_status(id).map(|s| (id, s.primary)))
             .collect();
@@ -207,17 +203,17 @@ impl ClusterMonitor {
         // 3. Anti-entropy: heal divergence, re-admit caught-up
         //    followers. Runs after dark recovery so a just-reseated
         //    group gets its sweep this same pass.
-        for id in router.monitor_shard_ids() {
-            let outcome = router.anti_entropy_sweep(id);
-            report.repairs += outcome.repairs;
-            report.readmitted += outcome.readmitted;
+        for id in router.shard_ids() {
+            let (repairs, readmitted) = router.anti_entropy_sweep(id);
+            report.repairs += repairs;
+            report.readmitted += readmitted;
         }
 
         // 4. Probation: rebuild quarantined replicas that answered
         //    probes for `probation_ticks` consecutive passes.
         let mut probation = self.probation.lock();
         let mut live: Vec<(ShardId, usize)> = Vec::new();
-        for id in router.monitor_shard_ids() {
+        for id in router.shard_ids() {
             let Some(status) = router.replica_status(id) else {
                 continue;
             };
@@ -231,15 +227,11 @@ impl ClusterMonitor {
         for key in live {
             let ticks = probation.entry(key).or_insert(0);
             *ticks += 1;
-            if self.config.heal_quarantined && *ticks >= self.config.probation_ticks {
-                if self.router.heal_quarantined(key.0, key.1) {
-                    report.healed += 1;
-                    *ticks = 0;
-                } else {
-                    // Still failing its probe or its catch-up; restart
-                    // the probation clock rather than hammering it.
-                    *ticks = 0;
-                }
+            if *ticks >= self.config.probation_ticks {
+                // Healed, or still failing its probe or its resync: either
+                // way the probation clock restarts rather than hammering it.
+                *ticks = 0;
+                report.healed += u64::from(self.router.heal_quarantined(key.0, key.1));
             }
         }
         drop(probation);

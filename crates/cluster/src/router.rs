@@ -106,12 +106,25 @@
 //! back (its token regressed) can never win the election while a fresher
 //! replica survives. Reads retry on the new primary if a failover races
 //! them, so a quarantine loses **zero quorum-acked writes** and keeps every
-//! policy readable as long as one in-quorum follower remains. Quarantined
-//! or lagging replicas rejoin through [`ClusterRouter::reinstate`] (and
-//! replacements through [`ClusterRouter::add_replica`]), which catch them
-//! up from the current primary via the warm-copy export/import path before
-//! they count toward the quorum again. Deterministic fault injection for
-//! all of this lives in [`crate::fault`].
+//! policy readable as long as one in-quorum follower remains. Deterministic
+//! fault injection for all of this lives in [`crate::fault`].
+//!
+//! ## Convergence (one repair ladder, one heal sequence)
+//! How a replica comes *back* is defined once, in the `repair` module.
+//! `converge(group, target)` brings one replica onto the seat's state from
+//! a single consistent cut, per policy by the cheapest sufficient rung —
+//! skip, set the cursor, cursor-bounded delta resend, snapshot at the
+//! chain tail — trusting an in-service replica's cursor but verifying a
+//! quarantined or joining one by digest, and paying one sync.
+//! `ReplicaSet::heal(fit)` is the order around it: repair and drain the
+//! channels, re-seat a dark seat on the freshest fit replica, purge what a
+//! previous life left queued, converge, rejoin — or quarantine with the
+//! cause. Every entry point is a thin wrapper that picks the replicas and
+//! books the outcome: [`ClusterRouter::reinstate`] heals all of a group,
+//! [`ClusterRouter::add_replica`] converges a newcomer marked out of
+//! service, and the monitor's three hooks heal the probe-answering
+//! replicas of a dark group, heal one quarantined replica after
+//! probation, and converge every live follower each sweep.
 //!
 //! ## Rebalance protocol (warm copy + cutover barrier)
 //! [`ClusterRouter::add_shard`] and [`ClusterRouter::drain_shard`] migrate
@@ -146,11 +159,9 @@
 //! check, or an applied-token watermark that went backwards (the classic
 //! rollback signature of Fig. 6) quarantines the replica. Quarantining the
 //! primary triggers a failover; only when no in-quorum follower survives
-//! does the group answer [`ClusterError::ShardUnavailable`] until an
-//! operator calls [`ClusterRouter::reinstate`] — or, with a
-//! [`ClusterMonitor`](crate::monitor::ClusterMonitor) attached, until the
-//! monitor's probe sweep and anti-entropy repair converge the group on
-//! their own (see the `monitor` module).
+//! does the group answer [`ClusterError::ShardUnavailable`] until it is
+//! healed — by an operator's [`ClusterRouter::reinstate`] or, with a
+//! [`ClusterMonitor`](crate::monitor::ClusterMonitor) attached, on its own.
 //!
 //! The probe sweep itself runs on a snapshot of the replica handles with
 //! the topology lock **released**, so one wedged replica can stall only
@@ -162,14 +173,16 @@
 //! pipe's locks and engine locks, so the request path and the background
 //! data plane cannot deadlock. `delivery` covers pop + stage + redeem and
 //! is **not** held across the wire (the arrival wait is a condvar wait on
-//! `queue`), so fence drains never queue behind a delta in transit. The
-//! monitor follows the dispatch order exactly and probes with **no**
-//! router lock held, so attaching one adds no lock edges. Health flags
-//! are atomics; telemetry locks (flight-recorder ring, registry maps) are
-//! **leaves** — never calling back into router or engine code — and may
-//! be taken under any lock above.
+//! `queue`), so fence drains never queue behind a delta in transit. A heal
+//! or sweep is one `forward_lock` hold — fence, purge and `converge` all
+//! run under it, taking pipe and engine locks in the order above — so the
+//! monitor follows the dispatch order exactly and attaching one adds no
+//! lock edges; its health sweep probes with **no** router lock held.
+//! Health flags are atomics; telemetry locks (flight-recorder ring,
+//! registry maps) are **leaves** — never calling back into router or
+//! engine code — and may be taken under any lock above.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -177,15 +190,14 @@ use std::time::{Duration, Instant};
 use palaemon_core::counterfile::{BatchedCounter, MonotonicCounter};
 use palaemon_core::frontdoor::Door;
 use palaemon_core::server::{ServerStats, TmsRequest, TmsResponse, TmsServer};
-use palaemon_core::tms::{
-    records_digest, Palaemon, PolicyDelta, PolicyRecords, ReplicationSnapshot, SessionId,
-};
+use palaemon_core::tms::{Palaemon, PolicyDelta, PolicyRecords, SessionId};
 use palaemon_core::PalaemonError;
-use palaemon_db::{ChangeSet, CommitTicket};
+use palaemon_db::CommitTicket;
 use palaemon_telemetry::{trace, Collect, EventKind, FlightRecorder, MetricSink, Stage, Telemetry};
 use parking_lot::{Mutex, RwLock};
 
 use crate::fault::{FaultKind, FaultPlan, FaultSite};
+use crate::repair::{converge, diff_records, freshest, note_catch_up, probe_replica};
 use crate::ring::{HashRing, ShardId};
 
 /// Errors raised by the cluster layer (engine errors pass through).
@@ -367,12 +379,12 @@ pub struct ReplicationStats {
     pub flushes_fence: u64,
     /// Windows delivered by the followers' sender threads.
     pub flushes_durable: u64,
-    /// Policies shipped by catch-up resyncs (cursor or digest diverged).
+    /// Policies a heal's convergence repaired (cursor or digest diverged).
     pub catchup_policies_shipped: u64,
-    /// Policies catch-up skipped because the target already held them
-    /// (chain cursor at the tail and record digest equal).
+    /// Policies a heal skipped because the target already held them
+    /// (chain cursor at the tail; digest equal for a rebuilt replica).
     pub catchup_policies_skipped: u64,
-    /// Wire bytes catch-up shipped (0 when the target was fully in sync).
+    /// Wire bytes heals shipped (0 when the target was fully in sync).
     pub catchup_bytes: u64,
 }
 
@@ -422,7 +434,7 @@ impl Collect for ReplicationStats {
 
 /// Atomic backing for [`ReplicationStats`] (one per replica group).
 #[derive(Default)]
-struct ReplTelemetry {
+pub(super) struct ReplTelemetry {
     reads_primary: AtomicU64,
     reads_follower: AtomicU64,
     attests_primary: AtomicU64,
@@ -438,9 +450,9 @@ struct ReplTelemetry {
     mutations_shipped: AtomicU64,
     flushes_fence: AtomicU64,
     flushes_durable: AtomicU64,
-    catchup_policies_shipped: AtomicU64,
-    catchup_policies_skipped: AtomicU64,
-    catchup_bytes: AtomicU64,
+    pub(super) catchup_policies_shipped: AtomicU64,
+    pub(super) catchup_policies_skipped: AtomicU64,
+    pub(super) catchup_bytes: AtomicU64,
 }
 
 impl ReplTelemetry {
@@ -566,25 +578,6 @@ pub enum QuarantineOutcome {
     /// a replica is healed or reinstated. A `group_dark` flight event
     /// was recorded.
     GroupDark,
-}
-
-/// What one anti-entropy pass over a shard did (the monitor aggregates
-/// these into its tick report).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AntiEntropyOutcome {
-    /// Per-policy repairs performed (cursor advances, cursor-bounded
-    /// delta resends, snapshot resyncs, ghost purges).
-    pub repairs: u64,
-    /// Quorum-demoted followers re-admitted to the write quorum.
-    pub readmitted: u64,
-}
-
-impl AntiEntropyOutcome {
-    /// Folds another shard's outcome into this one.
-    pub fn merge(&mut self, other: AntiEntropyOutcome) {
-        self.repairs += other.repairs;
-        self.readmitted += other.readmitted;
-    }
 }
 
 /// Point-in-time statistics of one shard (replica group). The per-request
@@ -781,23 +774,23 @@ impl std::fmt::Display for ClusterStats {
 }
 
 /// One engine within a replica group.
-struct Replica {
-    server: TmsServer,
-    counter: Option<Arc<BatchedCounter>>,
+pub(super) struct Replica {
+    pub(super) server: TmsServer,
+    pub(super) counter: Option<Arc<BatchedCounter>>,
     /// Rollback-counter token of the last replicated mutation this replica
     /// applied — the freshness evidence a failover election compares.
-    applied: AtomicU64,
+    pub(super) applied: AtomicU64,
     /// True while the replica has applied every forwarded delta since it
     /// last (re)joined; a missed or failed forward clears it.
     in_quorum: AtomicBool,
     quarantined: AtomicBool,
     reason: Mutex<Option<String>>,
     /// Health-monitor watermarks (regression watch).
-    watch_counter: AtomicU64,
-    watch_applied: AtomicU64,
+    pub(super) watch_counter: AtomicU64,
+    pub(super) watch_applied: AtomicU64,
     /// A delta the fault injector is holding back to deliver out of order
     /// ([`FaultKind::ReorderIncremental`]); always `None` in production.
-    held_delta: Mutex<Option<PolicyDelta>>,
+    pub(super) held_delta: Mutex<Option<PolicyDelta>>,
 }
 
 impl Replica {
@@ -815,15 +808,15 @@ impl Replica {
         }
     }
 
-    fn engine(&self) -> &Arc<Palaemon> {
+    pub(super) fn engine(&self) -> &Arc<Palaemon> {
         self.server.engine()
     }
 
-    fn is_quarantined(&self) -> bool {
+    pub(super) fn is_quarantined(&self) -> bool {
         self.quarantined.load(Ordering::Acquire)
     }
 
-    fn is_in_quorum(&self) -> bool {
+    pub(super) fn is_in_quorum(&self) -> bool {
         !self.is_quarantined() && self.in_quorum.load(Ordering::Acquire)
     }
 
@@ -845,7 +838,7 @@ impl Replica {
     /// Quarantines the replica. An already-quarantined replica keeps its
     /// original reason and appends the new one — the first diagnosis is
     /// what the operator needs to see.
-    fn quarantine(&self, reason: String) {
+    pub(super) fn quarantine(&self, reason: String) {
         let mut slot = self.reason.lock();
         *slot = Some(match slot.take() {
             Some(first) => format!("{first}; {reason}"),
@@ -857,7 +850,7 @@ impl Replica {
 
     /// Clears quarantine and rejoins the write quorum, resetting the
     /// health watches to the current values (catch-up ran first).
-    fn rejoin(&self) {
+    pub(super) fn rejoin(&self) {
         if let Some(counter) = &self.counter {
             self.watch_counter.store(counter.value(), Ordering::Release);
         }
@@ -948,7 +941,7 @@ struct PipeQueue {
 /// a delta is in transit: the sender waits for its head to arrive holding
 /// `queue` only (a condvar wait), so the next window travels while this
 /// one syncs and a fence never queues behind a wire wait.
-struct Pipe {
+pub(super) struct Pipe {
     queue: StdMutex<PipeQueue>,
     ready: Condvar,
     delivery: StdMutex<()>,
@@ -1005,10 +998,12 @@ impl Pipe {
         self.ready.notify_all();
     }
 
-    /// Discards everything queued without delivering (the follower is
-    /// about to be rebuilt by a snapshot catch-up, which supersedes any
-    /// queued delta). Caller holds `delivery`.
-    fn purge(&self) {
+    /// Discards everything queued without delivering — atomically w.r.t.
+    /// an in-flight delivery (the replica is about to take the seat or be
+    /// converged onto it, which supersedes any delta queued in its
+    /// previous life).
+    pub(super) fn purge(&self) {
+        let _delivery = self.delivery.lock().unwrap();
         let mut q = self.queue.lock().unwrap();
         for item in q.items.drain(..) {
             item.completion.resolve(false);
@@ -1044,9 +1039,9 @@ impl Pipe {
 /// The replica-group state shared between the request path and the
 /// background sender threads. [`ReplicaSet`] derefs to it, so group
 /// fields read the same at every call site.
-struct GroupCore {
+pub(super) struct GroupCore {
     /// Index of the current primary.
-    primary: AtomicUsize,
+    pub(super) primary: AtomicUsize,
     /// Acks (primary included) a mutation needs before it returns.
     write_quorum: usize,
     /// Serializes delta extraction + enqueue (and migration installs),
@@ -1063,16 +1058,16 @@ struct GroupCore {
     /// Per-policy delta chain tail: the token of the last delta issued for
     /// each policy (what the next incremental's `parent` must be). Reset
     /// when a migration installs/purges the policy group-wide.
-    chain: Mutex<HashMap<String, u64>>,
+    pub(super) chain: Mutex<HashMap<String, u64>>,
     /// Round-robin cursor for quorum reads.
     read_cursor: AtomicUsize,
-    telemetry: ReplTelemetry,
+    pub(super) telemetry: ReplTelemetry,
     /// This group's shard id, as the flight recorder reports it.
-    shard: u64,
+    pub(super) shard: u64,
     /// The router-wide control-plane flight recorder (a telemetry leaf
     /// lock — safe under every router lock).
-    flight: Arc<FlightRecorder>,
-    failovers: AtomicU64,
+    pub(super) flight: Arc<FlightRecorder>,
+    pub(super) failovers: AtomicU64,
     /// Replica roster mirror for the sender threads (resolving the
     /// current primary's engine for snapshot resyncs without touching
     /// the topology-guarded vector). Grows only under `add_replica`.
@@ -1277,12 +1272,12 @@ fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Ar
 /// One ring arc's replica group: a primary plus R−1 mirrored followers,
 /// each fed by its own background forward channel. Derefs to
 /// [`GroupCore`] (the state the sender threads share).
-struct ReplicaSet {
-    replicas: Vec<Arc<Replica>>,
+pub(super) struct ReplicaSet {
+    pub(super) replicas: Vec<Arc<Replica>>,
     /// One forward channel per replica (parallel to `replicas`; empty
     /// for single-replica groups, which never forward). Every replica
     /// gets a pipe because any of them may become a follower later.
-    pipes: Vec<Arc<Pipe>>,
+    pub(super) pipes: Vec<Arc<Pipe>>,
     senders: Mutex<Vec<std::thread::JoinHandle<()>>>,
     core: Arc<GroupCore>,
 }
@@ -1400,7 +1395,30 @@ impl ReplicaSet {
         total
     }
 
-    fn primary_idx(&self) -> usize {
+    /// Repairs the `fit` replicas' channels — injected stall/drop faults
+    /// are gone (the operator fixed the network, or the stall outlived the
+    /// monitor's tolerance) — then fences: whatever is still queued to a
+    /// live replica lands before anyone is converged. Returns the
+    /// mutations delivered. Caller holds `forward_lock`.
+    pub(super) fn fence(&self, fit: impl Fn(usize) -> bool) -> u64 {
+        for (k, pipe) in self.pipes.iter().enumerate() {
+            if fit(k) {
+                pipe.clear_faults();
+            }
+        }
+        self.drain_pipes(true)
+    }
+
+    /// Books the monitor's re-admission of replica `k` (already rejoined).
+    fn note_readmit(&self, k: usize) {
+        self.flight.record(EventKind::AutoReadmit {
+            shard: self.shard,
+            replica: k,
+            applied: self.replicas[k].applied.load(Ordering::Acquire),
+        });
+    }
+
+    pub(super) fn primary_idx(&self) -> usize {
         self.primary.load(Ordering::Acquire)
     }
 
@@ -1424,7 +1442,7 @@ impl ReplicaSet {
     /// fit to lead. In crash-only executions every in-quorum replica is
     /// chain-complete (misses demote), so this only bites under omission
     /// faults.
-    fn chain_complete(&self, replica: &Replica) -> bool {
+    pub(super) fn chain_complete(&self, replica: &Replica) -> bool {
         let chain = self.chain.lock();
         chain
             .iter()
@@ -1674,349 +1692,6 @@ fn approval_nonce(request: &TmsRequest) -> Option<u64> {
         | TmsRequest::DeletePolicy { approval, .. } => approval.as_ref().map(|r| r.nonce),
         _ => None,
     }
-}
-
-/// One replica's health probe plus its Fig. 6 regression watches, run
-/// with **no** router lock held (the probe may block on a wedged
-/// engine). Returns the quarantine reason when the replica is unfit,
-/// `None` when it passes; already-quarantined replicas are not probed.
-fn probe_replica(replica: &Replica) -> Option<String> {
-    if replica.is_quarantined() {
-        return None;
-    }
-    // Probe with a benign read; a replica that cannot even count its
-    // policies is not fit to serve or vote.
-    if let Err(e) = replica.server.handle(TmsRequest::PolicyCount) {
-        return Some(format!("probe failed: {e}"));
-    }
-    // The Fig. 6 signature of a Byzantine replica: its physical rollback
-    // counter or its applied freshness token went backwards. The two
-    // watches have different repair stories (counter-file tampering vs
-    // replication-state rollback), so the reason names which one fired.
-    if let Some(counter) = &replica.counter {
-        let value = counter.value();
-        let last = replica.watch_counter.load(Ordering::Acquire);
-        if value < last {
-            return Some(format!("rollback counter regressed: {last} -> {value}"));
-        }
-        replica.watch_counter.store(value, Ordering::Release);
-    }
-    let applied = replica.applied.load(Ordering::Acquire);
-    let last = replica.watch_applied.load(Ordering::Acquire);
-    if applied < last {
-        return Some(format!(
-            "applied freshness token regressed: {last} -> {applied}"
-        ));
-    }
-    replica.watch_applied.store(applied, Ordering::Release);
-    None
-}
-
-/// The freshness comparator every seat election shares: the candidate
-/// with the highest applied counter token wins; ties go to the lowest
-/// index.
-fn freshest<'a>(candidates: impl Iterator<Item = (usize, &'a Arc<Replica>)>) -> Option<usize> {
-    candidates
-        .max_by(|(ia, a), (ib, b)| {
-            let fa = a.applied.load(Ordering::Acquire);
-            let fb = b.applied.load(Ordering::Acquire);
-            fa.cmp(&fb).then(ib.cmp(ia))
-        })
-        .map(|(i, _)| i)
-}
-
-/// Cursor-bounded resync of `target` from the group's current primary:
-/// the session table and pending approval rounds always mirror over, but
-/// a policy's records ride the warm-copy path **only when the target has
-/// actually diverged** — its chain cursor off the group's tail, or its
-/// record digest unequal to the primary's. A follower that merely sat
-/// out a quiet period (or was quarantined and healed by anti-entropy)
-/// re-enters with zero warm-copy bytes. Everything is taken from **one
-/// consistent replication snapshot** of the primary engine (a single
-/// `DbView` covering all policies, with the session and approval tables
-/// captured under the same db guard), and per-policy digests are computed
-/// from that same snapshot — a concurrent mutation can neither interleave
-/// between per-policy exports nor skew the divergence check. A shipped
-/// policy lands as a chain-resetting snapshot delta stamped with the
-/// group's chain token, so subsequent incrementals chain onto the
-/// caught-up state; its stale cursor is cleared first (the target's
-/// previous life may hold a cursor *ahead* of the group's post-migration
-/// token, which would veto the snapshot). Cursors of skipped policies
-/// survive untouched — they are the very evidence the skip rests on.
-/// Only on full success is the target stamped with the primary's applied
-/// token — a replica whose resync failed must never re-enter the
-/// freshness election claiming state it does not hold.
-///
-/// # Errors
-/// Whatever the target engine's purge/import commits return; the target's
-/// freshness token is then left untouched.
-fn catch_up(group: &ReplicaSet, target: &Replica) -> palaemon_core::Result<()> {
-    let primary = &group.replicas[group.primary_idx()];
-    let ReplicationSnapshot {
-        policies,
-        sessions,
-        approvals,
-    } = primary.engine().replication_snapshot();
-    let dst = target.engine();
-    // Changes the target captured for forwarding in its previous life
-    // predate the resync and are void; its chain cursors stay — each
-    // cursor at the group tail is one policy we need not re-ship.
-    dst.clear_captured_changes();
-    let live: HashSet<&str> = policies.iter().map(|(n, _)| n.as_str()).collect();
-    // Every purge and re-base below stages into the target's commit window;
-    // the tickets redeem together, so the whole resync pays one sync.
-    let mut tickets = Vec::new();
-    for stale in dst.policy_names() {
-        if !live.contains(stale.as_str()) {
-            tickets.push(dst.stage_policy_records(&stale, &[]));
-        }
-    }
-    let (mut shipped, mut skipped, mut bytes) = (0u64, 0u64, 0u64);
-    {
-        let chain = group.chain.lock();
-        // Chain entries whose policy no longer exists (deleted after its
-        // last delta): the target holds nothing for them, which IS the
-        // current state — seed its cursors to the tails, or the dead
-        // entries would fail its chain-completeness (and hence its
-        // election fitness) forever.
-        for (name, &tail) in chain.iter() {
-            if !live.contains(name.as_str()) {
-                dst.advance_policy_cursor(name, tail);
-            }
-        }
-        for (name, records) in policies {
-            match chain.get(&name).copied() {
-                Some(token) => {
-                    // In sync = cursor already at the chain tail AND the
-                    // records (hashed from the snapshot we would ship)
-                    // digest-equal. The cursor check alone is not enough:
-                    // an engine restored from older storage can hold a
-                    // replayed cursor over stale records.
-                    if dst.policy_cursor(&name) == Some(token)
-                        && dst.policy_digest(&name) == records_digest(&name, &records)
-                    {
-                        skipped += 1;
-                        continue;
-                    }
-                    // Divergent: clear the old cursor first — a stale
-                    // cursor *ahead* of `token` (chain reset by a
-                    // migration while the target was away) would make
-                    // the snapshot look like a replay and veto it.
-                    dst.clear_policy_cursor(&name);
-                    let delta = PolicyDelta::snapshot(&name, records, token);
-                    bytes += delta.wire_size() as u64;
-                    tickets.push(dst.stage_policy_delta(&delta)?);
-                    shipped += 1;
-                }
-                // No chain entry (the policy was migrated in, or predates
-                // the group's replication): install the records with no
-                // cursor, mirroring the chain's view — a cursor of
-                // Some(0) would disagree with the absent tail and fail
-                // the replica's freshness checks forever.
-                None => {
-                    if dst.policy_cursor(&name).is_none()
-                        && dst.policy_digest(&name) == records_digest(&name, &records)
-                    {
-                        skipped += 1;
-                        continue;
-                    }
-                    dst.clear_policy_cursor(&name);
-                    bytes += records
-                        .iter()
-                        .map(|(k, v)| (k.len() + v.len()) as u64)
-                        .sum::<u64>();
-                    tickets.push(dst.stage_policy_records(&name, &records));
-                    shipped += 1;
-                }
-            }
-        }
-    }
-    for ticket in tickets {
-        ticket.wait()?;
-    }
-    let keep: HashSet<u64> = sessions.iter().map(|s| s.session.0).collect();
-    for stale in dst.export_sessions() {
-        if !keep.contains(&stale.session.0) {
-            dst.close_session(stale.session);
-        }
-    }
-    for record in &sessions {
-        dst.import_session(record);
-    }
-    // Approval rounds mirror like sessions: rounds consumed while the
-    // target was away are discarded, open ones installed (and the target's
-    // nonce counter pulled ahead of them).
-    let keep_rounds: HashSet<u64> = approvals.iter().map(|a| a.nonce).collect();
-    for stale in dst.export_approvals() {
-        if !keep_rounds.contains(&stale.nonce) {
-            dst.discard_approval(stale.nonce);
-        }
-    }
-    for record in &approvals {
-        dst.import_approval(record);
-    }
-    // Anything the injector held back for out-of-order delivery predates
-    // the resync and is void.
-    *target.held_delta.lock() = None;
-    target
-        .applied
-        .store(primary.applied.load(Ordering::Acquire), Ordering::Release);
-    group
-        .telemetry
-        .catchup_policies_shipped
-        .fetch_add(shipped, Ordering::Relaxed);
-    group
-        .telemetry
-        .catchup_policies_skipped
-        .fetch_add(skipped, Ordering::Relaxed);
-    group
-        .telemetry
-        .catchup_bytes
-        .fetch_add(bytes, Ordering::Relaxed);
-    // `add_replica` resyncs the newcomer before pushing it into the
-    // roster, so "not found" means "about to be appended".
-    let replica = group
-        .replicas
-        .iter()
-        .position(|r| std::ptr::eq(r.as_ref(), target))
-        .unwrap_or(group.replicas.len());
-    group.flight.record(EventKind::CatchUp {
-        shard: group.shard,
-        replica,
-        shipped,
-        skipped,
-        bytes,
-    });
-    Ok(())
-}
-
-/// Record-level diff turning `have` into `want` — the payload of an
-/// anti-entropy **delta resend**: tombstones for keys only `have` holds,
-/// puts for keys `want` adds or changes. Empty when the stores already
-/// agree (then only the cursor lags).
-fn diff_records(want: &PolicyRecords, have: &PolicyRecords) -> ChangeSet {
-    let target: HashMap<&[u8], &[u8]> =
-        want.iter().map(|(k, v)| (k.as_ref(), v.as_ref())).collect();
-    let current: HashMap<&[u8], &[u8]> =
-        have.iter().map(|(k, v)| (k.as_ref(), v.as_ref())).collect();
-    let mut changes = ChangeSet::default();
-    for (k, _) in have {
-        if !target.contains_key(k.as_ref()) {
-            changes.record_delete(k.clone());
-        }
-    }
-    for (k, v) in want {
-        if current.get(k.as_ref()) != Some(&v.as_ref()) {
-            changes.record_put(k.clone(), v.clone());
-        }
-    }
-    changes
-}
-
-/// Heals one (follower, policy) pair under the group's forward lock —
-/// the anti-entropy repair ladder (see
-/// [`ClusterRouter::anti_entropy_sweep`]). `tail` is the group's chain
-/// entry for the policy. Returns the repair method applied, `None` when
-/// the pair was already converged. On `Err` the follower's engine
-/// rejected the repair; the caller keeps it out of the quorum.
-fn repair_policy(
-    group: &ReplicaSet,
-    pidx: usize,
-    k: usize,
-    policy: &str,
-    tail: Option<u64>,
-) -> palaemon_core::Result<Option<&'static str>> {
-    let primary = &group.replicas[pidx];
-    let follower = &group.replicas[k];
-    let cursor = follower.engine().policy_cursor(policy);
-    let digests_equal =
-        || primary.engine().policy_digest(policy) == follower.engine().policy_digest(policy);
-    let method = match tail {
-        Some(tail) => {
-            if cursor == Some(tail) {
-                // Chain-complete for this policy: content equality
-                // follows from the chain check at every link.
-                return Ok(None);
-            }
-            if digests_equal() {
-                // The bytes are there (a redelivered window or a snapshot
-                // catch-up carried them); only the chain position lags.
-                follower.engine().advance_policy_cursor(policy, tail);
-                "cursor_advance"
-            } else {
-                let want = primary.engine().export_policy_records(policy);
-                let resend = cursor.map(|from| {
-                    let have = follower.engine().export_policy_records(policy);
-                    PolicyDelta::incremental(policy, diff_records(&want, &have), tail, from)
-                });
-                match resend {
-                    Some(delta) => {
-                        group.telemetry.count_delta(&delta);
-                        match follower.engine().apply_policy_delta(&delta) {
-                            Ok(()) => "delta_resend",
-                            // The engine vetoed the bounded resend (the
-                            // cursor is not what we read, or the apply
-                            // failed midway); re-base instead.
-                            Err(_) => snapshot_repair(group, k, policy, want, tail)?,
-                        }
-                    }
-                    None => snapshot_repair(group, k, policy, want, tail)?,
-                }
-            }
-        }
-        None => {
-            if digests_equal() {
-                return Ok(None);
-            }
-            // No chain entry to converge onto (the policy predates the
-            // group's replication, migrated in outside the chain, or is
-            // a ghost only the follower still holds): mirror the
-            // warm-copy path — install the primary's records with no
-            // cursor, since a minted cursor would disagree with the
-            // absent tail forever.
-            let records = primary.engine().export_policy_records(policy);
-            follower
-                .engine()
-                .stage_policy_records(policy, &records)
-                .wait()?;
-            group
-                .telemetry
-                .snapshot_resyncs
-                .fetch_add(1, Ordering::Relaxed);
-            "snapshot_resync"
-        }
-    };
-    follower
-        .applied
-        .fetch_max(tail.unwrap_or(0), Ordering::AcqRel);
-    group.flight.record(EventKind::AntiEntropyRepair {
-        shard: group.shard,
-        replica: k,
-        policy: policy.to_string(),
-        from: cursor,
-        to: tail.unwrap_or(0),
-        method,
-    });
-    Ok(Some(method))
-}
-
-/// The snapshot-resync arm of [`repair_policy`]: a chain-resetting
-/// [`PolicyDelta::snapshot`] of the primary's records at the chain tail.
-fn snapshot_repair(
-    group: &ReplicaSet,
-    k: usize,
-    policy: &str,
-    records: PolicyRecords,
-    tail: u64,
-) -> palaemon_core::Result<&'static str> {
-    let delta = PolicyDelta::snapshot(policy, records, tail);
-    group.telemetry.count_delta(&delta);
-    group
-        .telemetry
-        .snapshot_resyncs
-        .fetch_add(1, Ordering::Relaxed);
-    group.replicas[k].engine().apply_policy_delta(&delta)?;
-    Ok("snapshot_resync")
 }
 
 struct Topology {
@@ -2502,18 +2177,7 @@ impl ClusterRouter {
             }
             let desired = source.primary_engine().export_records_for(target, producer);
             let current = tprimary.engine().export_records_for(target, producer);
-            let puts: PolicyRecords = desired
-                .iter()
-                .filter(|(k, v)| {
-                    current.iter().find(|(ck, _)| ck == k).map(|(_, cv)| cv) != Some(v)
-                })
-                .cloned()
-                .collect();
-            let tombstones: Vec<palaemon_db::Bytes> = current
-                .iter()
-                .filter(|(k, _)| !desired.iter().any(|(dk, _)| dk == k))
-                .map(|(k, _)| k.clone())
-                .collect();
+            let (puts, tombstones) = diff_records(&desired, &current).into_parts();
             if puts.is_empty() && tombstones.is_empty() {
                 continue;
             }
@@ -3038,14 +2702,15 @@ impl ClusterRouter {
     }
 
     /// Adds a replacement follower to an existing group: the new engine
-    /// catches up from the current primary (warm-copy of every policy plus
-    /// the session table) and joins the write quorum. Returns its replica
-    /// index. The configured write quorum is unchanged.
+    /// is converged onto the current primary (every record set, the
+    /// session and approval tables — see the `repair` module) and joins
+    /// the write quorum. Returns its replica index. The configured write
+    /// quorum is unchanged.
     ///
     /// # Errors
-    /// [`ClusterError::NoSuchShard`], or engine errors from the catch-up
-    /// copy (the group is then unchanged — a half-synced replica never
-    /// joins).
+    /// [`ClusterError::NoSuchShard`], or engine errors from the
+    /// convergence (the group is then unchanged — a half-synced replica
+    /// never joins).
     pub fn add_replica(
         &self,
         id: ShardId,
@@ -3066,14 +2731,19 @@ impl ClusterRouter {
             )));
         }
         let replica = Arc::new(Replica::new(server, counter));
+        // Out of service until converged: a joining engine is verified by
+        // digest and rebuilt like a quarantined one (it may have been
+        // restored from anybody's old storage).
+        replica.quarantine("joining".into());
         // The newcomer's session-id residue class is fixed *before* the
-        // catch-up copy so the live sessions it imports advance only its
-        // own class counter (peer-class ids are not confusable with its
-        // future allocations).
+        // sessions mirror over so the live ones it imports advance only
+        // its own class counter (peer-class ids are not confusable with
+        // its future allocations).
         replica
             .engine()
             .set_session_id_range(group.replicas.len() as u64 + 1, SESSION_ID_STRIDE);
-        catch_up(group, &replica).map_err(ClusterError::Engine)?;
+        let done = converge(group, &replica).map_err(ClusterError::Engine)?;
+        note_catch_up(group, group.replicas.len(), &done);
         replica.rejoin();
         group.roster.lock().push(Arc::clone(&replica));
         group.replicas.push(replica);
@@ -3354,74 +3024,19 @@ impl ClusterRouter {
     }
 
     /// Lifts every quarantine in a group (after the operator repaired or
-    /// replaced the replicas). Quarantined and lagging replicas first
-    /// catch up from the freshest surviving state via the warm-copy path,
-    /// then rejoin the write quorum with their counter watches reset.
-    /// Returns false for unknown shards.
+    /// replaced the replicas): the one heal sequence
+    /// (`ReplicaSet::heal`, see the `repair` module) over **all** its
+    /// replicas — channels repaired and drained, a dark seat moved to the
+    /// freshest surviving state, every quarantined or lagging replica
+    /// converged onto the seat before it rejoins the write quorum with
+    /// its counter watches reset. Returns false for unknown shards.
     pub fn reinstate(&self, id: ShardId) -> bool {
         let topo = self.topology.read();
         let Some(group) = topo.shards.get(&id) else {
             return false;
         };
         let _forward = group.forward_lock.lock(); // no forwards mid-resync
-
-        // Repair the channels first: injected stall/drop faults are gone
-        // (the operator fixed the network), and whatever is still queued
-        // to live replicas lands before anyone is caught up — a queued
-        // batch surviving its follower's catch-up would clobber it.
-        for pipe in &group.pipes {
-            pipe.clear_faults();
-        }
-        group.drain_pipes(true);
-
-        // Seat a primary first: when the whole group went dark (no live
-        // follower was electable at failure time), move the seat to the
-        // replica with the highest applied token, so catch-up copies from
-        // the best surviving state — freshness-by-counter means a
-        // rolled-back replica loses this election too.
-        let mut pidx = group.primary_idx();
-        if group.replicas[pidx].is_quarantined() {
-            // Prefer a chain-complete survivor (it holds every forwarded
-            // delta); only when none exists — catastrophic loss — fall
-            // back to the freshest state still standing.
-            let best = freshest(
-                group
-                    .replicas
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| group.chain_complete(r)),
-            )
-            .or_else(|| freshest(group.replicas.iter().enumerate()))
-            .unwrap_or(pidx);
-            if best != pidx {
-                group.primary.store(best, Ordering::Release);
-                group.failovers.fetch_add(1, Ordering::Relaxed);
-                pidx = best;
-            }
-        }
-        for (k, replica) in group.replicas.iter().enumerate() {
-            if k != pidx && !replica.is_in_quorum() {
-                // Queued deltas from the replica's previous life predate
-                // the snapshot catch-up and are void.
-                if let Some(pipe) = group.pipes.get(k) {
-                    let _delivery = pipe.delivery.lock().unwrap();
-                    pipe.purge();
-                }
-                // A replica whose resync failed stays out: rejoining it
-                // would let it claim state it does not hold.
-                if let Err(e) = catch_up(group, replica) {
-                    let reason = format!("catch-up failed: {e}");
-                    group.flight.record(EventKind::Quarantine {
-                        shard: group.shard,
-                        replica: k,
-                        reason: reason.clone(),
-                    });
-                    replica.quarantine(reason);
-                    continue;
-                }
-            }
-            replica.rejoin();
-        }
+        group.heal(|_| true);
         true
     }
 
@@ -3429,113 +3044,69 @@ impl ClusterRouter {
     // Monitor hooks (crate-internal: `ClusterMonitor` drives these)
     // ------------------------------------------------------------------
 
-    /// Shard ids currently in the topology, in id order — the monitor's
-    /// sweep order.
-    pub(crate) fn monitor_shard_ids(&self) -> Vec<ShardId> {
-        let topo = self.topology.read();
-        let mut ids: Vec<ShardId> = topo.shards.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// One anti-entropy pass over shard `id` (monitor-driven). Under the
-    /// group's forward lock — so no mutation can interleave — every
-    /// live follower's per-policy (chain cursor, content digest) pair is
-    /// compared against the primary's, and divergence is healed *now*
-    /// instead of at the next mutation's chain check:
-    ///
-    /// * equal digests with a lagging cursor (a redelivered window
-    ///   already carried the bytes): the cursor is advanced;
-    /// * differing digests with a usable cursor: a **cursor-bounded
-    ///   delta resend** — a record-level diff shipped as an incremental
-    ///   chained onto the follower's actual cursor;
-    /// * no usable cursor (or a failed resend): a chain-resetting
-    ///   **snapshot resync** at the chain tail;
-    /// * ghost policies the primary no longer holds are purged.
-    ///
-    /// Wedged channels are force-fenced first — the sweep cadence *is*
-    /// the bounded stall tolerance — so repairs converge on delivered
-    /// state. A quorum-demoted follower that ends the pass
-    /// chain-complete is re-admitted to the write quorum and stamped
-    /// with the primary's freshness token. Dark groups are
-    /// [`ClusterRouter::heal_dark_shard`]'s job. Every repair and
-    /// re-admission is recorded on the flight recorder.
-    pub(crate) fn anti_entropy_sweep(&self, id: ShardId) -> AntiEntropyOutcome {
-        let mut out = AntiEntropyOutcome::default();
+    /// group's forward lock — so no mutation can interleave — wedged
+    /// channels are force-fenced first (the sweep cadence *is* the
+    /// bounded stall tolerance, and repairing around a queued delta would
+    /// only be re-broken when it lands), then every live follower is
+    /// converged onto the seat by the one repair ladder (`converge`, see
+    /// the `repair` module): divergence is healed *now*, with one follower
+    /// sync, instead of at the next mutation's chain check. Each repair is
+    /// flight-recorded; a quorum-demoted follower that converged is
+    /// re-admitted to the write quorum, one whose repair failed is
+    /// demoted with the cause. Dark groups are
+    /// [`ClusterRouter::heal_dark_shard`]'s job. Returns the pass's
+    /// `(repairs, re-admissions)` for the monitor's tick report.
+    pub(crate) fn anti_entropy_sweep(&self, id: ShardId) -> (u64, u64) {
         let topo = self.topology.read();
         let Some(group) = topo.shards.get(&id) else {
-            return out;
+            return (0, 0);
         };
-        if group.replicas.len() == 1 {
-            return out;
-        }
         let _forward = group.forward_lock.lock();
-        let pidx = group.primary_idx();
-        let primary = &group.replicas[pidx];
-        if primary.is_quarantined() {
-            return out; // dark group — no sane state to converge onto
+        if !group.is_routable() {
+            return (0, 0); // dark group — no sane state to converge onto
         }
-        // Deliver everything queued first: repairing around a queued
-        // delta would only be re-broken when it lands. Injected stall /
-        // drop faults on live channels are cleared — by the time the
-        // sweep runs, the stall has outlived the monitor's tolerance.
-        for (k, pipe) in group.pipes.iter().enumerate() {
-            if !group.replicas[k].is_quarantined() {
-                pipe.clear_faults();
-            }
-        }
-        group.drain_pipes(true);
-        let chain: HashMap<String, u64> = group.chain.lock().clone();
+        let live = |k: usize| !group.replicas[k].is_quarantined();
+        group.fence(live);
+        let (mut repairs, mut readmitted) = (0, 0);
         for (k, follower) in group.replicas.iter().enumerate() {
-            if k == pidx || follower.is_quarantined() {
+            if k == group.primary_idx() || !live(k) {
                 continue;
             }
-            let mut clean = true;
-            // The policies either side knows about: the chain (live
-            // replicated policies), the primary's store (policies that
-            // predate replication), and the follower's store (ghosts).
-            let mut policies: Vec<String> = chain.keys().cloned().collect();
-            for name in primary
-                .engine()
-                .policy_names()
-                .into_iter()
-                .chain(follower.engine().policy_names())
-            {
-                if !policies.contains(&name) {
-                    policies.push(name);
+            let done = match converge(group, follower) {
+                Ok(done) => done,
+                Err(e) => {
+                    follower.demote(format!("demoted: anti-entropy repair failed: {e}"));
+                    continue;
                 }
-            }
-            for policy in &policies {
-                match repair_policy(group, pidx, k, policy, chain.get(policy).copied()) {
-                    Ok(Some(_)) => out.repairs += 1,
-                    Ok(None) => {}
-                    Err(_) => clean = false,
-                }
-            }
-            if clean && !follower.is_in_quorum() && group.chain_complete(follower) {
-                // Chain-complete again: the follower holds every
-                // forwarded delta, so it carries the group watermark.
-                follower
-                    .applied
-                    .fetch_max(primary.applied.load(Ordering::Acquire), Ordering::AcqRel);
-                follower.rejoin();
-                group.flight.record(EventKind::AutoReadmit {
+            };
+            repairs += done.repairs.len() as u64;
+            for (policy, from, to, method) in done.repairs {
+                group.flight.record(EventKind::AntiEntropyRepair {
                     shard: group.shard,
                     replica: k,
-                    applied: follower.applied.load(Ordering::Acquire),
+                    policy,
+                    from,
+                    to,
+                    method,
                 });
-                out.readmitted += 1;
+            }
+            if !follower.is_in_quorum() {
+                follower.rejoin();
+                group.note_readmit(k);
+                readmitted += 1;
             }
         }
-        out
+        (repairs, readmitted)
     }
 
     /// Rebuilds one quarantined replica from the quorum's state and
-    /// rejoins it — the monitor's probation heal. The replica must
-    /// answer a probe first (rejoining an engine that cannot serve
-    /// would only flap), and its previous state is discarded wholesale:
-    /// a Byzantine (rolled-back) replica re-enters with the group's
-    /// state, never its own. Returns true when the replica rejoined.
+    /// rejoins it — the monitor's probation heal: the one heal sequence
+    /// over replica `k` only. The replica must answer a probe first
+    /// (rejoining an engine that cannot serve would only flap), and its
+    /// previous state is discarded wholesale: a Byzantine (rolled-back)
+    /// replica re-enters with the group's state, never its own. Returns
+    /// true when the replica rejoined.
     pub(crate) fn heal_quarantined(&self, id: ShardId, k: usize) -> bool {
         let topo = self.topology.read();
         let Some(group) = topo.shards.get(&id) else {
@@ -3548,94 +3119,45 @@ impl ClusterRouter {
             return false;
         }
         let _forward = group.forward_lock.lock();
-        if group.primary_idx() == k || group.replicas[group.primary_idx()].is_quarantined() {
+        if !group.is_routable() {
             return false; // a dark seat is heal_dark_shard's job
         }
-        // Deltas queued in the replica's previous life predate the
-        // snapshot catch-up and are void; injected channel faults are
-        // repaired along with the replica.
-        if let Some(pipe) = group.pipes.get(k) {
-            let _delivery = pipe.delivery.lock().unwrap();
-            pipe.clear_faults();
-            pipe.purge();
+        group.heal(|i| i == k);
+        let healed = replica.is_in_quorum();
+        if healed {
+            group.note_readmit(k);
         }
-        if catch_up(group, replica).is_err() {
-            return false; // still broken; next probation window retries
-        }
-        replica.rejoin();
-        group.flight.record(EventKind::AutoReadmit {
-            shard: group.shard,
-            replica: k,
-            applied: replica.applied.load(Ordering::Acquire),
-        });
-        true
+        healed
     }
 
     /// Dark-group recovery (the monitor's `reinstate`): when a group's
-    /// seat is quarantined with no successor seated, re-seat the
-    /// freshest probe-answering survivor (chain-complete preferred, so
-    /// a rolled-back replica never wins while a complete one stands)
-    /// and catch the other probe-answering replicas up from it.
-    /// Replicas that fail their probe stay quarantined for a later
-    /// probation heal. Returns the seated primary when the group came
-    /// back, `None` while it stays dark.
+    /// seat is quarantined with no successor seated, the one heal
+    /// sequence over the **probe-answering** replicas. Replicas that fail
+    /// their probe stay quarantined for a later probation heal. Returns
+    /// the seated primary when the group came back, `None` while it stays
+    /// dark.
     pub(crate) fn heal_dark_shard(&self, id: ShardId) -> Option<usize> {
         let topo = self.topology.read();
         let group = topo.shards.get(&id)?;
         let _forward = group.forward_lock.lock();
-        let pidx = group.primary_idx();
-        if !group.replicas[pidx].is_quarantined() {
+        if group.is_routable() {
             return None; // not dark (or healed since the caller looked)
         }
+        let dark = group.primary_idx();
         let fit: Vec<bool> = group
             .replicas
             .iter()
             .map(|r| r.server.handle(TmsRequest::PolicyCount).is_ok())
             .collect();
-        // Channels are repaired with the group; whatever still sits
-        // queued reaches its replica before anyone copies state.
-        for pipe in &group.pipes {
-            pipe.clear_faults();
-        }
-        group.drain_pipes(true);
-        let best = freshest(
-            group
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(k, r)| fit[*k] && group.chain_complete(r)),
-        )
-        .or_else(|| freshest(group.replicas.iter().enumerate().filter(|(k, _)| fit[*k])))?;
-        if best != pidx {
-            group.primary.store(best, Ordering::Release);
-            group.failovers.fetch_add(1, Ordering::Relaxed);
-        }
-        // The new seat's own channel may hold deltas from its follower
-        // days; they are void now.
-        if let Some(pipe) = group.pipes.get(best) {
-            let _delivery = pipe.delivery.lock().unwrap();
-            pipe.purge();
-        }
-        group.replicas[best].rejoin();
+        group.heal(|k| fit[k]);
+        let seat = group.is_routable().then(|| group.primary_idx())?;
         group.flight.record(EventKind::AutoFailover {
             shard: group.shard,
-            deposed: pidx,
-            winner: best,
+            deposed: dark,
+            winner: seat,
             reason: "dark-group recovery".into(),
         });
-        for (k, replica) in group.replicas.iter().enumerate() {
-            if k == best || !fit[k] {
-                continue;
-            }
-            if let Some(pipe) = group.pipes.get(k) {
-                let _delivery = pipe.delivery.lock().unwrap();
-                pipe.purge();
-            }
-            if catch_up(group, replica).is_ok() {
-                replica.rejoin();
-            }
-        }
-        Some(best)
+        Some(seat)
     }
 
     /// Aggregated per-shard statistics.
@@ -5625,5 +5147,313 @@ mod tests {
         assert!(rig.router.quarantine(rig.id, "chaos 2").is_some());
         assert_eq!(rig.router.replica_status(rig.id).unwrap().primary, 2);
         assert_serves(&rig, 1);
+    }
+
+    // ------------------------------------------------------------------
+    // Convergence: one repair ladder, one heal sequence
+    // ------------------------------------------------------------------
+
+    /// Export rows `sync_exports` pre-landed for a consumer that does not
+    /// exist yet have no `policy/` row to be enumerated by — they are
+    /// records of that name all the same, and must reach a joining
+    /// replica and survive a rebuild like any other.
+    #[test]
+    fn pre_landed_exports_survive_a_replica_catch_up() {
+        let platform = Platform::new("cl-host", Microcode::PostForeshadow);
+        let router = ClusterRouter::new(42, 64);
+        let (server, counter) = fresh_shard(&platform, 0);
+        router.add_shard(ShardId(0), server, Some(counter)).unwrap();
+        let set: Vec<_> = (0..3)
+            .map(|r| {
+                let (server, counter) = fresh_shard(&platform, 500 + r as u32);
+                (server, Some(counter))
+            })
+            .collect();
+        router.add_replicated_shard(ShardId(1), set, 2).unwrap();
+        let producer = name_on_shard(&router, "pprod", ShardId(0));
+        let consumer = name_on_shard(&router, "pcons", ShardId(1));
+        router
+            .handle(TmsRequest::CreatePolicy {
+                owner: owner(),
+                policy: Box::new(producer_policy(&producer, Some(&consumer))),
+                approval: None,
+                votes: Vec::new(),
+            })
+            .unwrap();
+
+        let held = || -> Vec<usize> {
+            let engines = router.replica_engines(ShardId(1));
+            let rows = |e: &Arc<Palaemon>| e.export_records_for(&consumer, &producer).len();
+            engines.iter().map(rows).collect()
+        };
+        assert_eq!(held(), [1, 1, 1], "the row pre-lands on the whole group");
+        let seat = router.engine(ShardId(1)).unwrap();
+        assert!(!seat.policy_names().contains(&consumer));
+        assert_eq!(
+            seat.export_policy_records(&consumer),
+            seat.export_records_for(&consumer, &producer),
+            "rows under a name with no policy row are that name's records"
+        );
+
+        let (server, counter) = fresh_shard(&platform, 510);
+        router
+            .add_replica(ShardId(1), server, Some(counter))
+            .unwrap();
+        assert_eq!(held(), [1, 1, 1, 1], "the newcomer must hold the row");
+        assert!(router.quarantine(ShardId(1), "drill").is_some());
+        assert!(router.reinstate(ShardId(1)));
+        assert_eq!(held(), [1, 1, 1, 1], "a rebuild must keep the row");
+        let status = router.replica_status(ShardId(1)).unwrap();
+        assert!(status.replicas.iter().all(|r| r.in_quorum));
+    }
+
+    /// The merged repair ladder, one follower holding every kind of
+    /// divergence at once: each policy gets the cheapest sufficient rung,
+    /// ends byte-equal to the seat with its cursor where the chain says,
+    /// and the follower ends chain-complete. Then the ladder's one branch:
+    /// a cursor at the tail vouches for an in-service follower, never for a
+    /// quarantined one.
+    #[test]
+    fn converge_applies_the_cheapest_sufficient_rung() {
+        let platform = Platform::new("cl-host", Microcode::PostForeshadow);
+        let (router, id) = replicated_cluster(&platform, 2, 2);
+        let write = |name: &str, v: u32| {
+            let policy = Box::new(versioned(name, v));
+            let request = if v == 1 {
+                TmsRequest::CreatePolicy {
+                    owner: owner(),
+                    policy,
+                    approval: None,
+                    votes: Vec::new(),
+                }
+            } else {
+                TmsRequest::UpdatePolicy {
+                    client: owner(),
+                    policy,
+                    approval: None,
+                    votes: Vec::new(),
+                }
+            };
+            router.handle(request).unwrap();
+        };
+        let engines = router.replica_engines(id);
+        let (seat, follower) = (&engines[0], &engines[1]);
+        // Every policy goes to v2 through the router; `old` keeps what the
+        // follower held at v1 (records + cursor) so rows can put it back.
+        let names = [
+            "in-sync",
+            "lagging-cursor",
+            "usable-cursor",
+            "no-cursor",
+            "cursor-ahead",
+            "unchained-equal",
+            "unchained-stale-cursor",
+            "unchained-unequal",
+            "ghost",
+            "dead-entry",
+            "replayed",
+        ];
+        let mut old = HashMap::new();
+        for name in names {
+            write(name, 1);
+            let cursor = follower.policy_cursor(name).expect("replicated");
+            old.insert(name, (follower.export_policy_records(name), cursor));
+            write(name, 2);
+        }
+        router
+            .handle(TmsRequest::DeletePolicy {
+                name: "dead-entry".into(),
+                client: owner(),
+                approval: None,
+                votes: Vec::new(),
+            })
+            .unwrap();
+        let rewind = |name: &str, cursor: Option<u64>| {
+            follower
+                .stage_policy_records(name, &old[name].0)
+                .wait()
+                .unwrap();
+            if let Some(cursor) = cursor {
+                follower.advance_policy_cursor(name, cursor);
+            }
+        };
+
+        let topo = router.topology.read();
+        let group = &topo.shards[&id];
+        let target = &group.replicas[1];
+        let tail = |name: &str| group.chain.lock().get(name).copied();
+        let t = |name: &str| tail(name).expect("chained");
+        // (policy, how the follower diverges) -> (cursor before, method).
+        follower.advance_policy_cursor("lagging-cursor", old["lagging-cursor"].1);
+        rewind("usable-cursor", Some(old["usable-cursor"].1));
+        rewind("no-cursor", None);
+        rewind("cursor-ahead", Some(t("cursor-ahead") + 1_000));
+        for name in [
+            "unchained-equal",
+            "unchained-stale-cursor",
+            "unchained-unequal",
+        ] {
+            // As after a migration install: no chain entry, no cursors.
+            group.chain.lock().remove(name);
+            seat.clear_policy_cursor(name);
+            follower.clear_policy_cursor(name);
+        }
+        follower.advance_policy_cursor("unchained-stale-cursor", 7);
+        rewind("unchained-unequal", None);
+        // The seat dropped `ghost` outside the chain; the follower did not.
+        seat.purge_policy_records("ghost").unwrap();
+        group.chain.lock().remove("ghost");
+        let ghost_cursor = follower.policy_cursor("ghost");
+        // A deleted policy's chain entry, met by a follower with no cursor.
+        follower.clear_policy_cursor("dead-entry");
+        let expected = [
+            (
+                "cursor-ahead",
+                Some(t("cursor-ahead") + 1_000),
+                t("cursor-ahead"),
+                "delta_resend",
+            ),
+            ("dead-entry", None, t("dead-entry"), "cursor_advance"),
+            ("ghost", ghost_cursor, 0, "snapshot_resync"),
+            (
+                "lagging-cursor",
+                Some(old["lagging-cursor"].1),
+                t("lagging-cursor"),
+                "cursor_advance",
+            ),
+            ("no-cursor", None, t("no-cursor"), "snapshot_resync"),
+            ("unchained-stale-cursor", Some(7), 0, "cursor_advance"),
+            ("unchained-unequal", None, 0, "snapshot_resync"),
+            (
+                "usable-cursor",
+                Some(old["usable-cursor"].1),
+                t("usable-cursor"),
+                "delta_resend",
+            ),
+        ];
+
+        let _forward = group.forward_lock.lock();
+        let done = converge(group, target).unwrap();
+        let repairs: Vec<_> = done
+            .repairs
+            .iter()
+            .map(|(name, from, to, method)| (name.as_str(), *from, *to, *method))
+            .collect();
+        assert_eq!(repairs, expected);
+        assert_eq!(done.skipped, 3, "in-sync, unchained-equal, replayed");
+        for name in names {
+            assert_eq!(follower.policy_cursor(name), tail(name), "{name}");
+            assert_eq!(
+                follower.export_policy_records(name),
+                seat.export_policy_records(name),
+                "{name}"
+            );
+        }
+        assert!(follower.export_policy_records("ghost").is_empty());
+        assert!(group.chain_complete(target));
+        let again = converge(group, target).unwrap();
+        assert!(again.repairs.is_empty() && again.bytes == 0);
+
+        // A replayed cursor over stale records (an engine restored from
+        // older storage): the cursor is all an in-service follower is asked
+        // for — the chain check vouched for every link it applied — but a
+        // quarantined one is verified by digest and repaired.
+        rewind("replayed", Some(t("replayed")));
+        assert!(converge(group, target).unwrap().repairs.is_empty());
+        target.quarantine("restored from an old disk".into());
+        let done = converge(group, target).unwrap();
+        assert_eq!(
+            done.repairs,
+            [(
+                "replayed".to_string(),
+                tail("replayed"),
+                t("replayed"),
+                "delta_resend"
+            )]
+        );
+        assert_eq!(
+            follower.export_policy_records("replayed"),
+            seat.export_policy_records("replayed")
+        );
+    }
+
+    /// The sweep stages every repair of a follower into one commit window:
+    /// K diverged policies cost that follower's device one sync.
+    #[test]
+    fn an_anti_entropy_sweep_costs_one_follower_sync() {
+        const POLICIES: usize = 5;
+        let rig = DeviceGroup::new(2, POLICIES);
+        let op = rig.router.replica_status(rig.id).unwrap().ops;
+        let plan = FaultPlan::new((1..=POLICIES as u64).map(|i| PlannedFault {
+            shard: rig.id,
+            op: op + i,
+            kind: FaultKind::LoseIncremental(2),
+        }));
+        rig.router.set_fault_plan(Arc::clone(&plan));
+        for p in 0..POLICIES {
+            rig.push(p, 1).unwrap(); // lost on follower 2's wire, silently
+        }
+        assert!(plan.all_fired());
+        assert!(rig.router.replica_status(rig.id).unwrap().replicas[2].in_quorum);
+
+        let before = [rig.devices[0].syncs(), rig.devices[1].syncs()];
+        let (repairs, _) = rig.router.anti_entropy_sweep(rig.id);
+        assert_eq!(repairs, POLICIES as u64);
+        assert_eq!(
+            rig.devices[0].syncs() - before[0],
+            0,
+            "follower 1 was whole"
+        );
+        assert_eq!(
+            rig.devices[1].syncs() - before[1],
+            1,
+            "five repairs must share one sync"
+        );
+        for p in 0..POLICIES {
+            assert!(rig.survives_crash(2, p, 1));
+        }
+        rig.assert_converged();
+        assert_eq!(rig.router.anti_entropy_sweep(rig.id), (0, 0));
+    }
+
+    /// A follower that missed one forward still holds a usable cursor:
+    /// its catch-up ships the record-level diff chained onto that cursor,
+    /// not the policy's snapshot.
+    #[test]
+    fn catch_up_of_a_usable_cursor_ships_a_diff_not_a_snapshot() {
+        let platform = Platform::new("cl-host", Microcode::PostForeshadow);
+        let (router, id) = replicated_cluster(&platform, 3, 2);
+        create_policy(&router, "diff-0");
+        let session = attest(&router, &platform, "diff-0");
+        push(&router, session, 1);
+        let plan = FaultPlan::new([PlannedFault {
+            shard: id,
+            op: router.replica_status(id).unwrap().ops + 1,
+            kind: FaultKind::DropForwardToReplica(2),
+        }]);
+        router.set_fault_plan(Arc::clone(&plan));
+        push(&router, session, 2);
+        assert!(plan.all_fired());
+        assert!(!router.replica_status(id).unwrap().replicas[2].in_quorum);
+
+        let before = router.stats().shards[0].replication;
+        assert!(router.reinstate(id));
+        let after = router.stats().shards[0].replication;
+        let shipped = after.catchup_bytes - before.catchup_bytes;
+        let engines = router.replica_engines(id);
+        let snapshot = engines[0].export_policy_snapshot("diff-0", 0).wire_size() as u64;
+        assert!(
+            0 < shipped && shipped * 2 < snapshot,
+            "catch-up shipped {shipped} B against a {snapshot} B snapshot"
+        );
+        assert_eq!(
+            after.catchup_policies_shipped - before.catchup_policies_shipped,
+            1
+        );
+        assert_eq!(
+            engines[2].export_policy_records("diff-0"),
+            engines[0].export_policy_records("diff-0")
+        );
+        assert!(router.replica_status(id).unwrap().replicas[2].in_quorum);
     }
 }

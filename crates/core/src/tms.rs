@@ -229,16 +229,31 @@ impl PolicyDelta {
     }
 }
 
-/// One consistent cut of everything a fresh or re-joining replica needs to
-/// catch up with its group ([`Palaemon::replication_snapshot`]).
-#[derive(Debug, Clone, Default)]
+/// One consistent cut of everything a replica needs to converge onto its
+/// group's seat ([`Palaemon::replication_snapshot`]): the database as of
+/// one [`DbView`] — answering [`ReplicationSnapshot::policy_names`] and
+/// [`ReplicationSnapshot::records`] for *any* name, exported on demand —
+/// with the session and approval tables captured under the same guard.
+#[derive(Clone)]
 pub struct ReplicationSnapshot {
-    /// Every stored policy's full record set, in name order.
-    pub policies: Vec<(String, PolicyRecords)>,
+    view: DbView,
     /// Every active session, in session-id order.
     pub sessions: Vec<SessionRecord>,
     /// Every pending board-approval round, in nonce order.
     pub approvals: Vec<ApprovalRecord>,
+}
+
+impl ReplicationSnapshot {
+    /// Names of all policies stored at the cut, in name order.
+    pub fn policy_names(&self) -> Vec<String> {
+        policy_names_in(&self.view)
+    }
+
+    /// The full record set of `name` at the cut (see
+    /// [`Palaemon::export_policy_records`]; empty when nothing is held).
+    pub fn records(&self, name: &str) -> PolicyRecords {
+        export_records_from(&self.view, name)
+    }
 }
 
 /// An attested session, exported for replication: a replica group mirrors
@@ -1235,17 +1250,16 @@ impl Palaemon {
 
     /// Names of all stored policies, from one consistent snapshot.
     pub fn policy_names(&self) -> Vec<String> {
-        self.db_view()
-            .scan_prefix(b"policy/")
-            .map(|(k, _)| String::from_utf8_lossy(&k[b"policy/".len()..]).into_owned())
-            .collect()
+        policy_names_in(&self.db_view())
     }
 
     /// Exports every database record belonging to policy `name` (the policy
     /// itself, its owner, secrets, volume keys, tags, and secrets/volumes
-    /// exported *to* it) from one consistent snapshot. Returns an empty
-    /// vector when the policy does not exist — a migration racing a delete
-    /// must treat that as "nothing to move", not an error.
+    /// exported *to* it) from one consistent snapshot. Export rows pre-landed
+    /// for a consumer that does not exist yet are records of that name like
+    /// any other. Returns an empty vector when nothing is held under the
+    /// name — a migration racing a delete must treat that as "nothing to
+    /// move", not an error.
     pub fn export_policy_records(&self, name: &str) -> PolicyRecords {
         export_records_from(&self.db_view(), name)
     }
@@ -1399,33 +1413,20 @@ impl Palaemon {
         self.policy_cursors.lock().insert(policy.to_string(), token);
     }
 
-    /// Voids this replica's entire delta-chain state — every per-policy
-    /// cursor and any captured-but-unforwarded changes — ahead of a full
-    /// re-base (warm-copy catch-up): the incoming snapshots define the new
-    /// chain positions, and stale cursors from a previous life must not
-    /// veto them.
-    pub fn reset_replication_cursors(&self) {
-        self.policy_cursors.lock().clear();
-        self.pending_changes.lock().clear();
-    }
-
-    /// Forgets the chain cursor of one policy ahead of a per-policy
-    /// re-base: cursor-bounded catch-up ships a chain-resetting snapshot
-    /// only for the policies that diverged, and a stale cursor *ahead* of
-    /// the incoming snapshot's token would veto it (the backwards-rollback
-    /// guard in [`Palaemon::apply_policy_delta`]). Cursors of in-sync
-    /// policies stay untouched — they are the evidence that lets catch-up
-    /// skip them.
+    /// Forgets the chain cursor of one policy: its group's chain holds no
+    /// entry for it (re-based by a migration, or never replicated), and a
+    /// cursor the absent tail disagrees with would fail the replica's
+    /// freshness checks forever — or, *ahead* of a later snapshot's token,
+    /// veto it (the backwards-rollback guard in
+    /// [`Palaemon::stage_policy_delta`]).
     pub fn clear_policy_cursor(&self, policy: &str) {
         self.policy_cursors.lock().remove(policy);
     }
 
     /// Drops every captured-but-unforwarded change without touching the
-    /// chain cursors. A replica being caught up must not later forward
-    /// residue from before the catch-up, but — unlike
-    /// [`Palaemon::reset_replication_cursors`] — its cursors must survive:
-    /// they are what a cursor-bounded catch-up compares to skip in-sync
-    /// policies.
+    /// chain cursors. A replica being rebuilt must not later forward
+    /// residue from its previous life, but its cursors must survive: they
+    /// are what the repair ladder compares to skip in-sync policies.
     pub fn clear_captured_changes(&self) {
         self.pending_changes.lock().clear();
     }
@@ -1530,39 +1531,23 @@ impl Palaemon {
         Ok(ticket)
     }
 
-    /// One consistent cut for replica catch-up: every policy's record set,
-    /// the session table, and the pending approval rounds, all exported
-    /// while a **single** database guard is held (the session and approval
-    /// tables are captured before the guard drops, so a concurrent
-    /// mutation cannot land between them) — unlike per-policy exports, a
-    /// warm copy built from this cut cannot interleave with a racing
-    /// mutation.
+    /// One consistent cut for replica convergence: a database view, the
+    /// session table and the pending approval rounds, all taken while a
+    /// **single** database guard is held (the session and approval tables
+    /// are captured before the guard drops, so a concurrent mutation cannot
+    /// land between them). Record sets are exported from the view on
+    /// demand, so a repair that skips a policy never pays for its export —
+    /// and, unlike per-policy exports from the live engine, whatever it does
+    /// export cannot interleave with a racing mutation.
     pub fn replication_snapshot(&self) -> ReplicationSnapshot {
-        let (view, sessions, approvals) = {
-            let db = self.db.read();
-            let view = db.view();
-            // `sessions` is a leaf lock and `approvals` orders after `db`:
-            // capturing both under the db guard is within the documented
-            // lock order.
-            let sessions = self.export_sessions();
-            let approvals = self.export_approvals();
-            (view, sessions, approvals)
-        };
-        let names: Vec<String> = view
-            .scan_prefix(b"policy/")
-            .map(|(k, _)| String::from_utf8_lossy(&k[b"policy/".len()..]).into_owned())
-            .collect();
-        let policies = names
-            .into_iter()
-            .map(|name| {
-                let records = export_records_from(&view, &name);
-                (name, records)
-            })
-            .collect();
+        let db = self.db.read();
+        // `sessions` is a leaf lock and `approvals` orders after `db`:
+        // capturing both under the db guard is within the documented lock
+        // order.
         ReplicationSnapshot {
-            policies,
-            sessions,
-            approvals,
+            view: db.view(),
+            sessions: self.export_sessions(),
+            approvals: self.export_approvals(),
         }
     }
 
@@ -1697,21 +1682,24 @@ pub fn records_digest(name: &str, records: &[(Bytes, Bytes)]) -> Digest {
     h.finalize()
 }
 
-/// Exports every record belonging to policy `name` from one [`DbView`]
+/// Names of all policies stored in `view`, in name order.
+fn policy_names_in(view: &DbView) -> Vec<String> {
+    view.scan_prefix(b"policy/")
+        .map(|(k, _)| String::from_utf8_lossy(&k[b"policy/".len()..]).into_owned())
+        .collect()
+}
+
+/// Exports every record held under policy name `name` from one [`DbView`]
 /// snapshot (the body of [`Palaemon::export_policy_records`], reusable
-/// against a shared view so multi-policy exports stay consistent).
+/// against a shared view so multi-policy exports stay consistent). No
+/// `policy/{name}` row is required: export rows pre-landed for a consumer
+/// that is yet to be created are exactly such a record set.
 fn export_records_from(view: &DbView, name: &str) -> PolicyRecords {
-    let policy_key = format!("policy/{name}");
-    let Some(policy_raw) = view.get(policy_key.as_bytes()) else {
-        return Vec::new();
-    };
-    let mut records: PolicyRecords = vec![(
-        Bytes::from(policy_key.into_bytes()),
-        Bytes::from(policy_raw),
-    )];
-    let owner_key = format!("owner/{name}");
-    if let Some(owner_raw) = view.get(owner_key.as_bytes()) {
-        records.push((Bytes::from(owner_key.into_bytes()), Bytes::from(owner_raw)));
+    let mut records = PolicyRecords::new();
+    for key in [format!("policy/{name}"), format!("owner/{name}")] {
+        if let Some(raw) = view.get(key.as_bytes()) {
+            records.push((Bytes::from(key.into_bytes()), Bytes::from(raw)));
+        }
     }
     for prefix in policy_record_prefixes(name) {
         records.extend(view.export_prefix(prefix.as_bytes()));
@@ -2516,7 +2504,7 @@ services:
     }
 
     #[test]
-    fn reset_replication_cursors_clears_the_chain_veto() {
+    fn clearing_a_policy_cursor_lifts_the_chain_veto() {
         let (primary, ..) = setup();
         let follower = new_tms();
         follower
@@ -2527,8 +2515,8 @@ services:
             follower.apply_policy_delta(&primary.export_policy_snapshot("p1", 3)),
             Err(PalaemonError::DeltaOutOfSequence { .. })
         ));
-        // ...until a full re-base (warm-copy catch-up) voids chain state.
-        follower.reset_replication_cursors();
+        // ...until a re-base forgets that policy's chain position.
+        follower.clear_policy_cursor("p1");
         follower
             .apply_policy_delta(&primary.export_policy_snapshot("p1", 3))
             .unwrap();
@@ -2546,11 +2534,15 @@ services:
             .unwrap();
         let req = tms.begin_approval("p1", PolicyAction::Update, Digest::ZERO);
         let snap = tms.replication_snapshot();
-        let names: Vec<&str> = snap.policies.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["p1", "p2"]);
-        for (name, records) in &snap.policies {
-            assert_eq!(records, &tms.export_policy_records(name));
-        }
+        let held = |name: &str| tms.export_policy_records(name);
+        let at_cut = [held("p1"), held("p2")];
+        // Mutations after the cut are invisible to it.
+        tms.create_policy(&owner, simple_policy("p3", mre), None, &[])
+            .unwrap();
+        tms.purge_policy_records("p2").unwrap();
+        assert_eq!(snap.policy_names(), vec!["p1", "p2"]);
+        assert_eq!([snap.records("p1"), snap.records("p2")], at_cut);
+        assert!(snap.records("p3").is_empty() && !held("p3").is_empty());
         assert_eq!(snap.sessions.len(), 1);
         assert_eq!(snap.sessions[0].session, config.session);
         assert_eq!(snap.sessions[0].policy, "p1");

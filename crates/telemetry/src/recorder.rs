@@ -137,18 +137,18 @@ pub enum EventKind {
         /// `snapshot_resync` (full re-base).
         method: &'static str,
     },
-    /// A replica was resynced from the primary on (re)join, shipping
-    /// only the policies whose chain cursor or digest diverged.
+    /// A heal converged a replica onto the primary on (re)join,
+    /// repairing only the policies whose chain cursor or digest diverged.
     CatchUp {
         /// Shard id.
         shard: u64,
         /// Replica index that was caught up.
         replica: usize,
-        /// Policies shipped as warm-copy snapshots.
+        /// Policies repaired (cursor set, delta resend or snapshot).
         shipped: u64,
         /// Policies skipped because cursor and digest already matched.
         skipped: u64,
-        /// Wire bytes of the shipped snapshots (0 for an in-sync replica).
+        /// Wire bytes the repairs shipped (0 for an in-sync replica).
         bytes: u64,
     },
     /// The monitor re-admitted a caught-up replica to the write quorum.

@@ -723,7 +723,6 @@ fn chaos_under_live_traffic_with_the_monitor_running() {
         MonitorConfig {
             cadence: Duration::from_millis(5),
             probation_ticks: 1,
-            ..MonitorConfig::default()
         },
     );
     monitor.start();
@@ -795,4 +794,210 @@ fn chaos_under_live_traffic_with_the_monitor_running() {
         assert_digests_converged(&router, id);
     }
     assert!(monitor.totals().healed + monitor.totals().readmitted > 0);
+}
+
+// ---------------------------------------------------------------------
+// One heal sequence: operator and monitor take the same path
+// ---------------------------------------------------------------------
+
+/// An R=3 group whose replica `flaky` sits on a [`FlakyStore`], with the
+/// switch that fails its disk.
+fn group_with_a_flaky_disk(
+    platform: &Platform,
+    flaky: u32,
+) -> (Arc<ClusterRouter>, Arc<AtomicBool>) {
+    let fail = Arc::new(AtomicBool::new(false));
+    let set = (0..3u32)
+        .map(|r| {
+            let store: Box<dyn BlockStore> = if r == flaky {
+                Box::new(FlakyStore {
+                    inner: MemStore::new(),
+                    fail: Arc::clone(&fail),
+                })
+            } else {
+                Box::new(MemStore::new())
+            };
+            let (server, counter) = replica_on(platform, r, store, None);
+            (server, Some(counter))
+        })
+        .collect();
+    let router = ClusterRouter::new(7007, 96);
+    router.add_replicated_shard(ShardId(0), set, 2).unwrap();
+    (Arc::new(router), fail)
+}
+
+/// Replica `k`'s recorded quarantine/demotion reason.
+fn reason_of(router: &ClusterRouter, k: usize) -> String {
+    router.health_check()[0].replicas[k]
+        .reason
+        .clone()
+        .unwrap_or_default()
+}
+
+/// `reinstate` and the monitor's dark-group recovery are the same heal
+/// sequence: two identical dark groups — a follower that missed a write,
+/// two crashed primaries — one reinstated, one ticked, end on the same
+/// seat with the same records and chain cursors on every replica, the
+/// re-seated primary's own channel empty, and the re-seat on the flight
+/// recorder.
+#[test]
+fn operator_and_monitor_heal_a_dark_group_identically() {
+    let platform = Platform::new("sh-host", Microcode::PostForeshadow);
+    let id = ShardId(0);
+    let names = ["same-a", "same-b", "same-c"];
+    let dark_group = || {
+        let router = Arc::new(replicated_cluster(&platform, 1, 3, 2));
+        for name in names {
+            create(&router, name, 1); // ops 1..=3
+        }
+        router.set_fault_plan(FaultPlan::new([PlannedFault {
+            shard: id,
+            op: 4,
+            kind: FaultKind::DropForwardToReplica(2),
+        }]));
+        update(&router, "same-a", 2).unwrap(); // op 4: replica 2 demotes
+        assert!(router.quarantine(id, "chaos 1").is_some()); // seat 0 -> 1
+        assert!(matches!(
+            router.quarantine(id, "chaos 2"),
+            Some(QuarantineOutcome::GroupDark)
+        ));
+        router
+    };
+    let state = |router: &ClusterRouter| {
+        let status = router.replica_status(id).unwrap();
+        assert!(status.replicas.iter().all(|r| r.in_quorum), "{status:?}");
+        let depths = router.stats().shards[0].queue_depths.clone();
+        assert_eq!(depths[status.primary], 0, "the new seat's channel");
+        let engines = router.replica_engines(id);
+        let held: Vec<_> = engines
+            .iter()
+            .flat_map(|e| names.map(|n| (e.policy_cursor(n), e.policy_digest(n))))
+            .collect();
+        (status.primary, held)
+    };
+    let reseats = |router: &ClusterRouter| {
+        let events = router.telemetry().flight().events();
+        let is_reseat = |e: &&palaemon::telemetry::Event| {
+            matches!(e.kind, EventKind::Election { deposed: 1, .. })
+        };
+        events.iter().filter(is_reseat).count()
+    };
+
+    let by_operator = dark_group();
+    assert!(by_operator.reinstate(id));
+    let by_monitor = dark_group();
+    let monitor = ClusterMonitor::new(Arc::clone(&by_monitor), MonitorConfig::default());
+    assert_eq!(monitor.tick().dark_recovered, 1);
+
+    assert_eq!(state(&by_operator), state(&by_monitor));
+    // Replicas 0 and 1 tie on freshness, so the seat moves off the dark
+    // replica 1 to the lowest index — on both paths, recorded on both.
+    assert_eq!(by_operator.replica_status(id).unwrap().primary, 0);
+    assert_eq!((reseats(&by_operator), reseats(&by_monitor)), (1, 1));
+    for router in [&by_operator, &by_monitor] {
+        assert_eq!(read_version(router, "same-a"), 2, "acked write survives");
+        assert_digests_converged(router, id);
+        update(router, "same-c", 2).unwrap();
+    }
+}
+
+/// A replica whose resync fails is never rejoined — and every heal path
+/// says why: operator reinstate, the monitor's dark-group recovery and its
+/// probation heal all quarantine it with the cause appended (the two
+/// monitor paths used to skip it silently). Once the disk recovers a
+/// reinstate brings it back.
+#[test]
+fn a_failed_resync_is_quarantined_with_its_cause_on_every_heal_path() {
+    let platform = Platform::new("sh-host", Microcode::PostForeshadow);
+    let id = ShardId(0);
+    type Heal = fn(&Arc<ClusterRouter>);
+    let paths: [(&str, bool, Heal); 3] = [
+        ("reinstate", false, |router| {
+            assert!(router.reinstate(ShardId(0)));
+        }),
+        ("dark-group recovery", true, |router| {
+            let config = MonitorConfig {
+                probation_ticks: u32::MAX,
+                ..MonitorConfig::default()
+            };
+            let report = ClusterMonitor::new(Arc::clone(router), config).tick();
+            assert_eq!(report.dark_recovered, 1, "{report:?}");
+        }),
+        ("probation heal", false, |router| {
+            let config = MonitorConfig {
+                probation_ticks: 1,
+                ..MonitorConfig::default()
+            };
+            ClusterMonitor::new(Arc::clone(router), config).tick();
+        }),
+    ];
+    for (path, dark, heal) in paths {
+        // Replica 0 — the first primary, on the flaky disk — is pulled and
+        // misses a write; the group optionally goes dark behind it.
+        let (router, fail) = group_with_a_flaky_disk(&platform, 0);
+        create(&router, "fr", 1);
+        assert!(router.quarantine(id, "pulled").is_some());
+        update(&router, "fr", 2).unwrap();
+        if dark {
+            assert!(router.quarantine(id, "pulled too").is_some());
+            assert!(matches!(
+                router.quarantine(id, "and the last"),
+                Some(QuarantineOutcome::GroupDark)
+            ));
+        }
+
+        fail.store(true, Ordering::Release);
+        heal(&router);
+        let status = router.replica_status(id).unwrap();
+        assert!(status.replicas[0].quarantined, "{path}: rejoined unsynced");
+        assert!(!status.replicas[status.primary].quarantined, "{path}");
+        let reason = reason_of(&router, 0);
+        assert!(
+            reason.contains("catch-up failed") && reason.contains("injected disk failure"),
+            "{path}: the cause must be recorded, got: {reason}"
+        );
+
+        fail.store(false, Ordering::Release);
+        assert!(router.reinstate(id));
+        let status = router.replica_status(id).unwrap();
+        assert!(status.replicas.iter().all(|r| r.in_quorum), "{path}");
+        assert_digests_converged(&router, id);
+    }
+}
+
+/// The sweep's half of the same rule: a follower whose anti-entropy
+/// repair fails is demoted with the cause instead of staying in the
+/// quorum it silently diverged from, and re-admitted once it converges.
+#[test]
+fn a_failed_sweep_repair_demotes_with_its_cause() {
+    let platform = Platform::new("sh-host", Microcode::PostForeshadow);
+    let id = ShardId(0);
+    let (router, fail) = group_with_a_flaky_disk(&platform, 2);
+    router.set_fault_plan(FaultPlan::new([PlannedFault {
+        shard: id,
+        op: 2,
+        kind: FaultKind::LoseIncremental(2),
+    }]));
+    create(&router, "sw", 1); // op 1
+    update(&router, "sw", 2).unwrap(); // op 2: lost on replica 2's wire
+    assert!(router.replica_status(id).unwrap().replicas[2].in_quorum);
+
+    let monitor = ClusterMonitor::new(Arc::clone(&router), MonitorConfig::default());
+    fail.store(true, Ordering::Release);
+    let report = monitor.tick();
+    assert_eq!((report.repairs, report.readmitted), (0, 0), "{report:?}");
+    let status = router.replica_status(id).unwrap();
+    assert!(!status.replicas[2].in_quorum && !status.replicas[2].quarantined);
+    let reason = reason_of(&router, 2);
+    assert!(
+        reason.contains("anti-entropy repair failed") && reason.contains("injected disk failure"),
+        "the demotion must name the failed repair, got: {reason}"
+    );
+
+    // The failed window's records reach the disk with its next sync; the
+    // follower converged in memory, so the next pass only re-admits it.
+    fail.store(false, Ordering::Release);
+    assert_eq!(monitor.tick().readmitted, 1);
+    assert!(router.replica_status(id).unwrap().replicas[2].in_quorum);
+    assert_digests_converged(&router, id);
 }
