@@ -31,11 +31,15 @@
 //!   watermark is reset to an older value (the Fig. 6 rollback signature):
 //!   the freshness election must never seat it.
 //! * [`FaultKind::StallForwardChannel`] — one follower's background
-//!   forward channel wedges: deltas enqueue and their mutations park on
-//!   the follower's verdict, but nothing is delivered until a fence drain
-//!   goes through the stall or a reinstate repairs the path. The failover
-//!   fence *ignores* the stall, which is exactly how a write parked behind
-//!   a dead pipe reaches the electorate before a primary crash's election.
+//!   forward channel wedges: deltas enqueue but nothing is delivered until
+//!   a fence drain goes through the stall or a reinstate repairs the path.
+//!   A mutation parks on the wedged follower's verdict only when its write
+//!   quorum needs that follower; otherwise it acks on the others' receipts
+//!   and the wedged copy stays queued, up to the channel's backlog bound —
+//!   at which the follower is demoted. The failover fence *ignores* the
+//!   stall, which is exactly how a write queued behind a dead pipe —
+//!   acked elsewhere, or still parked — reaches the electorate before a
+//!   primary crash's election.
 //! * [`FaultKind::DropBatch`] — the next window delivered on one
 //!   follower's channel vanishes on the wire, silently (no demotion): the
 //!   window-wide chain gap must surface at the follower's next delivery as
@@ -88,9 +92,10 @@ pub enum FaultKind {
         to: u64,
     },
     /// Wedge follower `.0`'s background forward channel from this
-    /// mutation's enqueue on: deltas keep queueing (their mutations parked
-    /// on the ack) but the sender stops delivering until a fence drain
-    /// (failover, migration, the monitor's sweep) goes through the stall or
+    /// mutation's enqueue on: deltas keep queueing — their mutations
+    /// parked on the ack only where the write quorum needs this follower —
+    /// but the sender stops delivering until a fence drain (failover,
+    /// migration, the monitor's sweep) goes through the stall or
     /// [`reinstate`](crate::ClusterRouter::reinstate) clears it.
     StallForwardChannel(usize),
     /// Silently lose the *next window* delivered on follower `.0`'s

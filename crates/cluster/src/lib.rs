@@ -30,8 +30,9 @@
 //! * **Replication & failover** ([`router`]) — each ring arc can be a
 //!   replica group ([`ClusterRouter::add_replicated_shard`]): the primary
 //!   applies a mutation, enqueues the counter-attested incremental delta
-//!   onto per-follower background channels, awaits every in-quorum
-//!   follower's durable verdict, and acks at a configurable write quorum. A
+//!   onto per-follower background channels, and acks at the configurable
+//!   write quorum's last durable receipt — not the slowest follower's; a
+//!   follower whose undelivered backlog reaches its bound is demoted. A
 //!   quarantined primary fails over to the freshest in-quorum follower —
 //!   freshness decided by the Fig. 6 counter token, so a rolled-back
 //!   replica never wins — instead of taking its arc offline. Reinstated,

@@ -17,12 +17,14 @@
 //!    successor is healed over its probe-answering replicas: re-seated on
 //!    the freshest, the rest converged onto it
 //!    ([`ClusterRouter::heal_dark_shard`]);
-//! 3. **sweep** — wedged forward channels are fenced through (releasing
-//!    any writer parked on them), then every live follower is converged
-//!    onto its seat — per policy by cursor advance, cursor-bounded delta
-//!    resend or snapshot resync, one sync per follower — *before* the next
-//!    mutation trips the chain check; a quorum-demoted follower that
-//!    converged is re-admitted ([`ClusterRouter::anti_entropy_sweep`]);
+//! 3. **sweep** — wedged forward channels are fenced through (landing
+//!    the backlog of a follower no writer waits for, and releasing any
+//!    writer whose quorum does need it), then every live follower is
+//!    converged onto its seat — per policy by cursor advance,
+//!    cursor-bounded delta resend or snapshot resync, one sync per
+//!    follower — *before* the next mutation trips the chain check; a
+//!    quorum-demoted follower that converged — one demoted for its backlog
+//!    included — is re-admitted ([`ClusterRouter::anti_entropy_sweep`]);
 //! 4. **heal after probation** — a replica that stayed quarantined for
 //!    [`MonitorConfig::probation_ticks`] consecutive passes but answers
 //!    probes again is healed — rebuilt from the seat, digest-verified —

@@ -30,15 +30,17 @@
 //! is healed by an on-the-spot **snapshot resync** (the full-record form,
 //! which resets the chain) — never silent divergence. Replication cost
 //! therefore tracks the mutation, not the policy size; snapshots are the
-//! resync, catch-up and migration form only. The call acknowledges only
-//! once `write_quorum` replicas (primary included) hold the write;
-//! otherwise it fails with [`ClusterError::QuorumLost`] and the write may
-//! legitimately be lost by a later failover. A follower that misses or
-//! fails a forward is demoted from the quorum until it catches up.
-//! Attested sessions are mirrored the same way (create and close), so a
-//! session survives the loss of the replica that attested it. Delta
-//! *extraction* is serialized per group (`forward_lock`), so in-quorum
-//! followers apply the same delta sequence the primary produced.
+//! resync, catch-up and migration form only. The call acknowledges as soon
+//! as `write_quorum` replicas (primary included) hold the write durably —
+//! **at the quorum, not at the slowest follower**: a replica that cannot
+//! forge can still stall, and one stalled replica must not park the
+//! group's writers. If the quorum cannot form it fails with [`ClusterError::QuorumLost`] and
+//! the write may legitimately be lost by a later failover. A follower that
+//! misses or fails a forward is demoted from the quorum until it catches
+//! up. Attested sessions are mirrored (create and close), so a session
+//! survives the loss of the replica that attested it. Delta *extraction*
+//! is serialized per group (`forward_lock`), so in-quorum followers apply
+//! the same delta sequence the primary produced.
 //!
 //! ## Pipelined forwards
 //! Forwards ride a **per-follower background channel**: the primary
@@ -48,14 +50,36 @@
 //!
 //! **One ack rule** (Fig. 6: *state durable, counter covered, then ack*).
 //! The mutation is *staged* on the primary ([`TmsServer::stage`]), its
-//! delta enqueued, and only then is the local commit ticket redeemed —
+//! delta enqueued on every in-quorum follower's channel with one shared
+//! **receipt tally**, and only then is the local commit ticket redeemed —
 //! one wait: its WAL window's leader syncs and, on a strict shard, covers
-//! the window with one counter increment before the verdict — and every
-//! in-quorum follower's durable verdict awaited: `Ok` needs `write_quorum`
-//! holders **and** the primary's own redeem, so it means durable in the
-//! primary's crash image, covered by its counter, *and* durable on the
-//! followers that counted. Followers apply forwarded deltas uncovered:
-//! their counters move only once they take the seat. Of the four waits involved — the primary's WAL
+//! the window with one counter increment before the verdict. The writer
+//! then parks **once**, on the tally, until `write_quorum − 1` followers
+//! have reported the delta durable — or every forward it queued has
+//! resolved, which is the moment a missed quorum is certain. `Ok`
+//! therefore means: durable in the primary's crash image, covered by its
+//! counter, *and* durable on `write_quorum − 1` followers. The followers
+//! outside that quorum finish **behind the ack** and book their verdicts
+//! into a tally nobody waits on; at `write_quorum = R` every follower is
+//! needed and is waited for, at `write_quorum = 1` the local verdict is
+//! the ack. Followers apply forwarded deltas uncovered: their counters
+//! move only once they take the seat.
+//!
+//! Three things keep "acked" meaning what it did when every follower was
+//! awaited. *Reads:* the group's freshness watermark moves at **enqueue**,
+//! so a follower that has not yet applied an acked delta is below the
+//! watermark and is never quorum-read. *Failover:* every seat change
+//! fences first (below), delivering every queued delta — a straggler's
+//! included — before the election, and only in-quorum, chain-complete
+//! replicas stand. *Backlog:* since no writer paces a follower outside
+//! the quorum, its channel is bounded instead: an enqueue that finds
+//! `PIPE_BACKLOG_CAP` deltas undelivered **demotes** the follower with
+//! that cause — a slow follower is a faulty follower — which stops
+//! further enqueues and keeps it out of elections and quorum reads; what
+//! is queued still lands, and the monitor's sweep or a reinstate fences,
+//! converges the rest and re-admits it.
+//!
+//! Of the four waits involved — the primary's WAL
 //! sync, the sender finishing its previous cycle, the wire, the follower's
 //! sync — only wire → follower sync depend on each other, so the rest
 //! overlap: the primary redeems **behind** the forward, and wire transit
@@ -69,19 +93,23 @@
 //! **redeems** the commit tickets — the first leads one `sync` for the
 //! whole window, the rest read its verdict. Window N+1 travels while
 //! window N syncs, and no delta is staged before its transit has elapsed.
-//! A follower's applied token advances and a waiting mutation is released
-//! only behind that verdict; a failed verdict demotes the follower and
-//! fails every delta of the window. Deltas stay one per mutation, so an
+//! A follower's applied token advances and its receipt is booked only
+//! behind that verdict; a failed verdict demotes the follower and fails
+//! every delta of the window. Deltas stay one per mutation, so an
 //! omission fault surfaces per delta: a gap (e.g. a dropped window) is an
 //! out-of-sequence rejection at the next delivery, healed in place by a
 //! snapshot resync staged into the same window.
 //!
 //! **Fencing.** Every seat change drains all channels under the forward
 //! lock before the election — waiting out only the residual transit of the
-//! newest queued delta, and delivering through a wedged channel too — so a
-//! write parked on its ack reaches the electorate and a deposed primary's
-//! queued deltas can never clobber its successor. An operator can force
-//! the same drain with [`ClusterRouter::flush_replication`].
+//! newest queued delta, and delivering through a wedged channel too — so
+//! every acked write, whichever follower vouched for it, is on the whole
+//! live electorate, a writer still parked on a follower it needs is
+//! released, and a deposed primary's queued deltas can never clobber its
+//! successor. An operator can force the same drain with
+//! [`ClusterRouter::flush_replication`] — which is also what "once
+//! everything has landed" means to a test or a tool: an `Ok` no longer
+//! implies empty channels.
 //!
 //! ## Read placement ([`ReadPreference`])
 //! Under the default [`ReadPreference::Primary`] every read is served by
@@ -178,9 +206,10 @@
 //! run under it, taking pipe and engine locks in the order above — so the
 //! monitor follows the dispatch order exactly and attaching one adds no
 //! lock edges; its health sweep probes with **no** router lock held.
-//! Health flags are atomics; telemetry locks (flight-recorder ring,
-//! registry maps) are **leaves** — never calling back into router or
-//! engine code — and may be taken under any lock above.
+//! Health flags are atomics; a mutation's receipt tally and the telemetry
+//! locks (flight-recorder ring, registry maps) are **leaves** — never
+//! calling back into router or engine code — and may be taken under any
+//! lock above.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -326,15 +355,24 @@ impl PipelineConfig {
     }
 }
 
-/// Upper bound a mutation spends waiting on its follower deliveries — one
-/// deadline shared by all of them, so a wedged group holds a front-door
-/// worker this long, not R−1 times this long — before
-/// treating the unresolved ones as failed (the senders resolve long
-/// before this in any healthy run; the cap only prevents an unbounded
-/// hang if a sender is wedged — the write then reports
-/// [`ClusterError::QuorumLost`], whose contract already allows the write
-/// to survive).
+/// Last-resort bound on a mutation's one wait for its write quorum. No
+/// test and no bench reaches it: a writer leaves at its
+/// `write_quorum − 1`-th durable receipt, or as soon as every delta it
+/// queued has resolved, and a follower it *needs* that stalls is released
+/// by the next fence (failover, monitor sweep, operator flush). The cap
+/// only keeps a front-door worker from hanging forever should all of that
+/// fail; the write then reports [`ClusterError::QuorumLost`], whose
+/// contract already allows it to survive.
 const ACK_WAIT_CAP: Duration = Duration::from_secs(30);
+
+/// Most deltas one follower's channel holds undelivered. A writer waits
+/// for its quorum only, so nothing else paces a follower outside it: an
+/// enqueue that finds the backlog here **demotes** the follower instead
+/// of queueing — a slow follower is a faulty follower — which stops
+/// further enqueues and keeps it out of elections and quorum reads until
+/// a sweep or reinstate has drained the backlog and converged the rest.
+/// Sized like the front door's default queue bound (8 workers × 128).
+const PIPE_BACKLOG_CAP: usize = 1024;
 
 /// Replication and read-path telemetry of one replica group — what the
 /// per-arc `ClusterStats` report: where reads landed, how often the
@@ -862,41 +900,51 @@ impl Replica {
     }
 }
 
-/// A synchronization point a mutation parks on: resolved by the follower's
-/// sender thread (or a fence drain) once its delta is durable there — or
-/// has failed.
-struct Completion {
-    state: StdMutex<Option<bool>>,
-    done: Condvar,
+/// One replicated mutation's **receipt tally**, shared by the deltas it
+/// queued (one per counting follower). Whoever resolves a queued delta —
+/// a sender's or a fence drain's delivery, a dropped window, a purge, a
+/// sender shutting down — books that follower's verdict here; the writer
+/// parks on it once ([`Tally::wait`]) and leaves at the quorum, so a
+/// straggler's verdict is booked into a tally nobody waits on any more.
+#[derive(Default)]
+struct Tally {
+    /// `(followers that reported the delta durable, forwards that failed)`.
+    receipts: StdMutex<(usize, usize)>,
+    booked: Condvar,
 }
 
-impl Completion {
-    fn new() -> Arc<Self> {
-        Arc::new(Completion {
-            state: StdMutex::new(None),
-            done: Condvar::new(),
-        })
+impl Tally {
+    fn book(&self, durable: bool) {
+        let mut receipts = self.receipts.lock().unwrap();
+        if durable {
+            receipts.0 += 1;
+        } else {
+            receipts.1 += 1;
+        }
+        drop(receipts);
+        self.booked.notify_one();
     }
 
-    fn resolve(&self, ok: bool) {
-        *self.state.lock().unwrap() = Some(ok);
-        self.done.notify_all();
-    }
-
-    /// Blocks until resolved; `false` on failure or once `deadline`
-    /// passes.
-    fn wait(&self, deadline: Instant) -> bool {
-        let mut state = self.state.lock().unwrap();
+    /// Parks the mutation's writer until `needed` followers reported the
+    /// delta durable, or all `queued` forwards resolved (the quorum can no
+    /// longer grow), or `deadline` passes. Returns the durable receipts
+    /// booked so far.
+    fn wait(&self, needed: usize, queued: usize, deadline: Instant) -> usize {
+        let mut receipts = self.receipts.lock().unwrap();
         loop {
-            if let Some(ok) = *state {
-                return ok;
+            let (durable, failed) = *receipts;
+            if durable >= needed || durable + failed >= queued {
+                return durable;
             }
             let now = Instant::now();
             if now >= deadline {
-                return false;
+                return durable;
             }
-            let (guard, _) = self.done.wait_timeout(state, deadline - now).unwrap();
-            state = guard;
+            receipts = self
+                .booked
+                .wait_timeout(receipts, deadline - now)
+                .unwrap()
+                .0;
         }
     }
 }
@@ -910,14 +958,37 @@ struct QueuedForward {
     /// `forward_lock`, so deadlines are queue-ordered. Nothing is staged
     /// before it has arrived.
     arrives: Instant,
-    /// What the enqueuing mutation blocks on: this follower's durable
-    /// verdict for the delta.
-    completion: Arc<Completion>,
-    /// A delta the fault injector delivered out of order (behind its
-    /// successor). Staged via the legacy stale path: a same-policy chain
-    /// mismatch only counts a rejection — no resync, no demotion — because
-    /// the successor already carried the state.
-    stale: bool,
+    /// Where this follower's durable verdict for the delta is booked.
+    /// `None` marks a delta the fault injector delivered out of order
+    /// (behind its successor) — nobody counts it. It is staged via the
+    /// legacy stale path: a same-policy chain mismatch only counts a
+    /// rejection — no resync, no demotion — because the successor already
+    /// carried the state.
+    ///
+    /// **Coupling, on purpose:** "has no tally" and "is a stale
+    /// redelivery" are one bit today because `replicate` builds exactly
+    /// two kinds of forward — a mutation's own delta, always with its
+    /// tally, and a held-back redelivery, never with one. A forward that
+    /// is in order yet needs no receipt must not be built with `None`: it
+    /// would be staged without the chain check's resync and demotion. Give
+    /// it a tally nobody waits on (as every straggler's is), or split the
+    /// bit out again.
+    tally: Option<Arc<Tally>>,
+}
+
+impl QueuedForward {
+    /// How the delta is staged — see the coupling note on `tally`.
+    fn is_stale(&self) -> bool {
+        self.tally.is_none()
+    }
+
+    /// Books the delta's fate; every queued delta is resolved exactly
+    /// once, by whoever takes it off its queue.
+    fn resolve(self, durable: bool) {
+        if let Some(tally) = self.tally {
+            tally.book(durable);
+        }
+    }
 }
 
 /// Mutable state of one follower's forward channel.
@@ -963,12 +1034,20 @@ impl Pipe {
         })
     }
 
-    fn push(&self, item: QueuedForward) {
+    /// Queues `item` — unless the follower's backlog already sits at
+    /// [`PIPE_BACKLOG_CAP`]: then nothing is queued and the caller demotes
+    /// the follower (`false`).
+    #[must_use]
+    fn push(&self, item: QueuedForward) -> bool {
         let mut q = self.queue.lock().unwrap();
+        if q.items.len() >= PIPE_BACKLOG_CAP {
+            return false;
+        }
         q.items.push_back(item);
         self.depth_peak.fetch_max(q.items.len(), Ordering::Relaxed);
         drop(q);
         self.ready.notify_all();
+        true
     }
 
     fn depth(&self) -> usize {
@@ -1006,7 +1085,7 @@ impl Pipe {
         let _delivery = self.delivery.lock().unwrap();
         let mut q = self.queue.lock().unwrap();
         for item in q.items.drain(..) {
-            item.completion.resolve(false);
+            item.resolve(false);
         }
     }
 
@@ -1160,10 +1239,10 @@ impl GroupCore {
     /// Delivers one popped window — every item of it has arrived — to
     /// follower `k`: accounts the flush, **stages** every delta in queue
     /// order and only then **redeems** the tickets — the first leads one
-    /// sync covering the window, the rest find it flushed. `applied` and
-    /// the completions move behind each ticket's verdict, so an ack means
-    /// "durable on this follower"; a failed stage or verdict demotes it
-    /// and resolves `false`. `dropped` consumes the transfer on the wire
+    /// sync covering the window, the rest find it flushed. `applied` moves
+    /// and the receipt is booked behind each ticket's verdict, so a
+    /// receipt means "durable on this follower"; a failed stage or verdict
+    /// demotes it and books a failure. `dropped` consumes the transfer on the wire
     /// ([`FaultKind::DropBatch`]): nothing arrives, nobody is demoted,
     /// and the resulting chain gap must surface at the next delivery.
     /// Returns the mutations actually delivered (0 for a dropped window).
@@ -1184,23 +1263,24 @@ impl GroupCore {
                 mutations,
             });
             for item in items {
-                item.completion.resolve(false);
+                item.resolve(false);
             }
             return 0;
         }
         self.telemetry.count_batches(mutations);
         let mut staged = Vec::with_capacity(items.len());
         for item in items {
-            let ticket = if item.stale {
+            let ticket = if item.is_stale() {
                 Ok(self.stage_stale(follower, k, &item.delta))
             } else {
                 self.stage(follower, k, &item.delta).map(Some)
             };
-            staged.push((item.delta.policy, item.delta.token, ticket, item.completion));
+            staged.push((ticket, item));
         }
         // `Ok(None)` is a refused stale delta: nothing staged, nothing to
         // advance, and — as ever — no demotion.
-        for (policy, token, ticket, completion) in staged {
+        for (ticket, item) in staged {
+            let (policy, token) = (&item.delta.policy, item.delta.token);
             let ok = match ticket.and_then(|t| Ok(t.map(CommitTicket::wait).transpose()?)) {
                 Ok(durable) => {
                     if durable.is_some() {
@@ -1215,7 +1295,7 @@ impl GroupCore {
                     false
                 }
             };
-            completion.resolve(ok);
+            item.resolve(ok);
         }
         mutations
     }
@@ -1234,7 +1314,7 @@ fn follower_sender(core: Arc<GroupCore>, pipe: Arc<Pipe>, k: usize, follower: Ar
             loop {
                 if q.shutdown {
                     for item in q.items.drain(..) {
-                        item.completion.resolve(false);
+                        item.resolve(false);
                     }
                     return;
                 }
@@ -1366,33 +1446,37 @@ impl ReplicaSet {
     /// [`EventKind::FenceDrain`] per non-empty channel. Caller holds
     /// `forward_lock`.
     fn drain_pipes(&self, ignore_stall: bool) -> u64 {
-        let mut total = 0u64;
-        for (k, pipe) in self.pipes.iter().enumerate() {
-            let replica = &self.replicas[k];
-            if replica.is_quarantined() {
-                continue; // nobody to deliver to; reinstate clears it
-            }
-            let _delivery = pipe.delivery.lock().unwrap();
-            if let Some(at) = pipe.last_arrival() {
-                std::thread::sleep(at.saturating_duration_since(Instant::now()));
-            }
-            let (items, dropped) = pipe.pop_arrived(ignore_stall);
-            if items.is_empty() {
-                continue;
-            }
-            let delivered = self
-                .core
-                .deliver_batch(replica, k, items, dropped, FlushReason::Fence);
-            if delivered > 0 {
-                self.flight.record(EventKind::FenceDrain {
-                    shard: self.shard,
-                    replica: k,
-                    mutations: delivered,
-                });
-                total += delivered;
-            }
+        (0..self.pipes.len())
+            .map(|k| self.drain_pipe(k, ignore_stall))
+            .sum()
+    }
+
+    /// Replica `k`'s share of [`ReplicaSet::drain_pipes`]: touches no
+    /// other channel. Caller holds `forward_lock`.
+    fn drain_pipe(&self, k: usize, ignore_stall: bool) -> u64 {
+        let (pipe, replica) = (&self.pipes[k], &self.replicas[k]);
+        if replica.is_quarantined() {
+            return 0; // nobody to deliver to; reinstate clears it
         }
-        total
+        let _delivery = pipe.delivery.lock().unwrap();
+        if let Some(at) = pipe.last_arrival() {
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+        }
+        let (items, dropped) = pipe.pop_arrived(ignore_stall);
+        if items.is_empty() {
+            return 0;
+        }
+        let delivered = self
+            .core
+            .deliver_batch(replica, k, items, dropped, FlushReason::Fence);
+        if delivered > 0 {
+            self.flight.record(EventKind::FenceDrain {
+                shard: self.shard,
+                replica: k,
+                mutations: delivered,
+            });
+        }
+        delivered
     }
 
     /// Repairs the `fit` replicas' channels — injected stall/drop faults
@@ -1440,8 +1524,9 @@ impl ReplicaSet {
     /// omission gap for one policy stays visible here until it is healed,
     /// so a replica silently missing a quorum-acked write can never look
     /// fit to lead. In crash-only executions every in-quorum replica is
-    /// chain-complete (misses demote), so this only bites under omission
-    /// faults.
+    /// chain-complete once its channel is drained (misses demote) — and an
+    /// election always follows a fence drain — so this only bites under
+    /// omission faults.
     pub(super) fn chain_complete(&self, replica: &Replica) -> bool {
         let chain = self.chain.lock();
         chain
@@ -2041,6 +2126,12 @@ impl ClusterRouter {
             let pidx = group.primary_idx();
             let primary = &group.replicas[pidx];
             if primary.is_quarantined() {
+                if group.primary_idx() != pidx {
+                    // A failover ran between the two loads above: the
+                    // seat moved before its old holder was flagged, so
+                    // a live primary exists — dispatch to it.
+                    continue;
+                }
                 return Err(ClusterError::ShardUnavailable(id));
             }
             // A mutation never comes back around the loop, so it is
@@ -2326,41 +2417,59 @@ impl ClusterRouter {
 
     /// Replicates the counter-attested delta of `policy` — just mutated on
     /// the primary, its commit staged or already durable — to the group's
-    /// in-quorum followers via their background channels, redeeming the
-    /// primary's own commit (`redeem`) **behind** the forward: enqueue
-    /// under `forward_lock` → redeem the local ticket → wait the
-    /// followers' verdicts, so the primary's WAL sync runs while the delta
-    /// travels and the followers sync. Fig. 6 orders only the
-    /// *acknowledgement* after "state durable, counter covered", and so
-    /// does this: `Ok` needs **both** verdicts. `redeem` runs on every
-    /// path, early returns included, so the server counts each request
-    /// once; if it fails after the enqueue the call returns its error
-    /// un-acked and the forwarded delta is allowed to survive (the
+    /// in-quorum followers via their background channels, and returns at
+    /// the **write quorum**: enqueue under `forward_lock` → redeem the
+    /// primary's own commit (`redeem`) **behind** the forward, so its WAL
+    /// sync runs while the delta travels and the followers sync → park
+    /// once on the mutation's receipt tally.
+    ///
+    /// **What an ack means.** Fig. 6 orders only the *acknowledgement*
+    /// after "state durable, counter covered", and so does this: `Ok`
+    /// needs the local verdict **and** `write_quorum − 1` followers'
+    /// durable receipts — durable in the primary's crash image, covered by
+    /// its Fig. 6 increment, durable on `write_quorum − 1` followers. It
+    /// does *not* mean every follower holds the write yet, nor that the
+    /// channels are empty. `redeem` runs on every path, early returns
+    /// included, so the server counts each request once; if it fails
+    /// after the enqueue the call returns its error un-acked and the
+    /// forwarded delta is allowed to survive (the
     /// [`ClusterError::QuorumLost`] contract — the write stays in the
     /// primary's visible tree; chain and cursors agree group-wide).
     ///
+    /// **Who resolves the tally.** Every delta queued here carries the
+    /// mutation's one tally, and whoever takes a delta off its queue books
+    /// that follower's verdict: a delivery (the follower's sender, or a
+    /// fence drain) behind the window's sync verdict, a window dropped on
+    /// the wire, a purge, a sender shutting down. The writer leaves when
+    /// `write_quorum − 1` receipts are durable, or when every forward it
+    /// queued has resolved — then the quorum is certainly lost — or, as a
+    /// last resort, at [`ACK_WAIT_CAP`]. Stragglers book into a tally
+    /// nobody waits on. A follower whose backlog is at `PIPE_BACKLOG_CAP`
+    /// is not queued to but demoted, with that cause.
+    ///
     /// The forward lock covers only seat-check + capture-drain + chain
     /// assignment + enqueue, so independent mutations of one shard
-    /// pipeline concurrently. The call then blocks (lock released) until
-    /// every enqueued delivery resolves — all waits share one
-    /// [`ACK_WAIT_CAP`] deadline — and acknowledges at write quorum of
-    /// *durable* replicas. The delta carries only what the mutation
+    /// pipeline concurrently. The delta carries only what the mutation
     /// changed (the engine's captured [`ChangeSet`]), chained onto the
     /// policy's previous token; a follower whose chain does not match is
     /// resynced on the spot with a snapshot delta. Consults the fault plan
     /// at the three injection sites.
     ///
     /// **Freshness token:** still `max(primary counter value, watermark +
-    /// 1)`. The counter value is now read *before* this mutation's own
-    /// Fig. 6 increment, but it is only a floor keeping tokens in step
-    /// with the physical counter; monotonicity comes from `watermark + 1`
-    /// alone, so group-monotonicity is unaffected (a token may merely
-    /// trail the counter by the increments in flight). `primary.applied`
-    /// moves at enqueue, not behind the local verdict: the token names the
-    /// state the seat *serves* — the mutation is in its visible tree from
-    /// `stage` on, which is what primary reads return and catch-up copies
-    /// and stamps its target with — and the seat is never a candidate in
-    /// its own failover election.
+    /// 1)`. The counter value is read *before* this mutation's own Fig. 6
+    /// increment, but it is only a floor keeping tokens in step with the
+    /// physical counter; monotonicity comes from `watermark + 1` alone, so
+    /// group-monotonicity is unaffected (a token may merely trail the
+    /// counter by the increments in flight). The **watermark** and
+    /// `primary.applied` move at enqueue, not behind any verdict — and
+    /// with quorum acks that is what keeps reads fresh: from the moment a
+    /// delta can be acked, every follower that has not applied it sits
+    /// below the watermark and is refused quorum reads, however far behind
+    /// the ack it finishes. For the seat the token names the state it
+    /// *serves* — the mutation is in its visible tree from `stage` on,
+    /// which is what primary reads return and catch-up copies and stamps
+    /// its target with — and the seat is never a candidate in its own
+    /// failover election.
     fn replicate<T>(
         &self,
         id: ShardId,
@@ -2370,10 +2479,10 @@ impl ClusterRouter {
         redeem: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         let primary = &group.replicas[pidx];
-        // Deliveries this mutation is waiting on: (completion, whether it
-        // counts toward the quorum — stale redeliveries do not).
-        let mut waits: Vec<(Arc<Completion>, bool)> = Vec::new();
-        let mut acked = 1usize; // the primary itself
+        // Where every follower this mutation's delta is queued to books
+        // its verdict, and how many of them there are.
+        let tally = Arc::new(Tally::default());
+        let mut queued = 0usize;
         let enqueue = trace::start();
         let enqueued = 'forward: {
             let _forward = group.forward_lock.lock();
@@ -2439,10 +2548,11 @@ impl ClusterRouter {
                     let faults = plan.take(id, op, FaultSite::ForwardTo(k));
                     if faults.contains(&FaultKind::StallForwardChannel(k)) {
                         // The channel wedges *before* this enqueue: the
-                        // delta queues behind a stalled sender and its
-                        // mutation parks on the verdict — a network stall
-                        // is invisible to the router — until a fence drain
-                        // delivers anyway.
+                        // delta queues behind a stalled sender — a network
+                        // stall is invisible to the router — until a fence
+                        // drain delivers anyway. Its mutation parks on
+                        // that verdict only where the quorum needs this
+                        // follower.
                         group.pipes[k].set_stalled();
                     }
                     if faults.contains(&FaultKind::DropBatch(k)) {
@@ -2473,14 +2583,23 @@ impl ClusterRouter {
                 if !follower.in_quorum.load(Ordering::Acquire) {
                     continue; // lagging — must catch up before rejoining
                 }
-                let completion = Completion::new();
-                group.pipes[k].push(QueuedForward {
+                // In order, so always `Some` — counted or not, awaited or
+                // not: `None` would stage it as a stale redelivery.
+                if !group.pipes[k].push(QueuedForward {
                     delta: delta.clone(),
                     arrives,
-                    completion: Arc::clone(&completion),
-                    stale: false,
-                });
-                waits.push((completion, true));
+                    tally: Some(Arc::clone(&tally)),
+                }) {
+                    // Nothing paces a follower nobody waits for, so its
+                    // backlog is what bounds it: a slow follower is a
+                    // faulty follower. Whatever is queued still lands;
+                    // the next sweep (or reinstate) converges the rest.
+                    follower.demote(format!(
+                        "demoted: forward backlog at the cap ({PIPE_BACKLOG_CAP} undelivered deltas)"
+                    ));
+                    continue;
+                }
+                queued += 1;
                 // A delta the injector held back arrives now, out of
                 // order — queued behind its successor on the same
                 // channel. Cross-policy it is merely late (its own chain
@@ -2493,14 +2612,15 @@ impl ClusterRouter {
                     None
                 };
                 if let Some(stale) = stale {
-                    let completion = Completion::new();
-                    group.pipes[k].push(QueuedForward {
+                    // A redelivery refused at the cap is simply lost again.
+                    // `None` is what marks it stale (the only forward
+                    // built without a tally): no receipt, and the legacy
+                    // staging path.
+                    let _ = group.pipes[k].push(QueuedForward {
                         delta: stale,
                         arrives,
-                        completion: Arc::clone(&completion),
-                        stale: true,
+                        tally: None,
                     });
-                    waits.push((completion, false));
                 }
             }
             Ok((op, plan))
@@ -2512,16 +2632,11 @@ impl ClusterRouter {
         let local = redeem();
         let (op, plan) = enqueued?;
         let response = local?;
-        // Wait out what is left of the deliveries, while other policies'
-        // mutations enqueue concurrently.
+        // One wait, for the quorum — not for the slowest follower: the
+        // rest finish behind the ack.
         let quorum_wait = trace::start();
-        let deadline = Instant::now() + ACK_WAIT_CAP;
-        for (completion, counts) in waits {
-            let delivered = completion.wait(deadline);
-            if counts && delivered {
-                acked += 1;
-            }
-        }
+        let needed = group.write_quorum - 1; // the primary holds it
+        let acked = 1 + tally.wait(needed, queued, Instant::now() + ACK_WAIT_CAP);
         trace::finish(Stage::QuorumAck, quorum_wait);
         if acked < group.write_quorum {
             return Err(ClusterError::QuorumLost {
@@ -2543,6 +2658,15 @@ impl ClusterRouter {
                     }
                     FaultKind::CounterRollback { replica, to } => {
                         if let Some(r) = group.replicas.get(replica) {
+                            // The ack was the quorum's: the victim's own
+                            // receipt for this mutation may still be on its
+                            // way and would raise the token again behind
+                            // the rollback. Land it first — the victim's
+                            // channel only: the other followers' deltas,
+                            // and faults pending on their channels, are
+                            // none of this fault's business.
+                            let _forward = group.forward_lock.lock();
+                            group.drain_pipe(replica, false);
                             r.applied.store(to, Ordering::Release);
                         }
                     }
@@ -3736,7 +3860,9 @@ mod tests {
         for i in 0..6 {
             create_policy(&router, &format!("rep-{i}"));
         }
-        // Every follower holds byte-identical records for every policy.
+        // Once the slower follower has landed them too, every follower
+        // holds byte-identical records for every policy.
+        assert!(router.flush_replication(id));
         let engines = router.replica_engines(id);
         assert_eq!(engines.len(), 3);
         for i in 0..6 {
@@ -3891,6 +4017,7 @@ mod tests {
         // The next forward heals the gap (snapshot resync), after which
         // the follower serves again.
         push(&router, session, 3);
+        assert!(router.flush_replication(id));
         let repl = router.stats().shards[0].replication;
         assert_eq!(repl.snapshot_resyncs, 1);
         let status = router.replica_status(id).unwrap();
@@ -3982,6 +4109,8 @@ mod tests {
         update_versioned("gap-b", 2); // op 4: follower 2 applies — its
                                       // global token reaches the watermark
         assert!(plan.all_fired());
+        // An ack is the quorum's: let the slower follower land op 4 too.
+        assert!(router.flush_replication(id));
         let status = router.replica_status(id).unwrap();
         assert_eq!(
             status.replicas[2].applied, status.replicas[1].applied,
@@ -4006,6 +4135,7 @@ mod tests {
         // The next gap-a mutation heals the chain (snapshot resync);
         // follower 2 serves gap-a again afterwards.
         update_versioned("gap-a", 3);
+        assert!(router.flush_replication(id));
         assert_eq!(router.stats().shards[0].replication.snapshot_resyncs, 1);
         for _ in 0..6 {
             assert_eq!(version_of(&router, "gap-a"), "3");
@@ -4391,6 +4521,7 @@ mod tests {
 
         // The forwarded export row rode the consumer policy's delta chain:
         // every replica of the consumer's group holds it.
+        assert!(router.flush_replication(ShardId(1)));
         for engine in router.replica_engines(ShardId(1)) {
             assert_eq!(
                 engine.export_records_for(&consumer, &producer).len(),
@@ -4634,6 +4765,9 @@ mod tests {
                     attest(&router, &platform, name)
                 })
                 .collect();
+            // An ack is the quorum's: let the slower follower land the
+            // set-up too, so every test starts from empty channels.
+            assert!(router.flush_replication(id));
             DeviceGroup {
                 router,
                 id,
@@ -4704,53 +4838,64 @@ mod tests {
         }
     }
 
-    /// A durable ack means *durable on every in-quorum follower*: whenever
-    /// a push returns `Ok`, each follower's crash image already holds that
-    /// tag — although the followers sync once per window, not per delta.
+    /// A durable ack means *durable on a write quorum*: whenever a push
+    /// returns `Ok`, the primary's crash image and at least
+    /// `write_quorum − 1` followers' already hold that tag — although the
+    /// followers sync once per window, not per delta. At quorum 3 that is
+    /// every follower; at quorum 2 the slower one may still be syncing.
     #[test]
-    fn durable_ack_means_durable_on_every_in_quorum_follower() {
+    fn durable_ack_means_durable_on_a_write_quorum() {
         const WRITERS: usize = 8;
         const PUSHES: u8 = 50;
-        let rig = DeviceGroup::new(2, WRITERS);
-        let before = [rig.devices[0].syncs(), rig.devices[1].syncs()];
-        let pipes = [rig.pipe(1), rig.pipe(2)];
-        // Hold both delivery gates until every writer's first push is
-        // queued: the first window is then WRITERS deltas wide on both
-        // followers, whatever the scheduler does with the rest.
-        let gates = pipes.each_ref().map(|p| p.delivery.lock().unwrap());
-        std::thread::scope(|scope| {
-            for w in 0..WRITERS {
-                let rig = &rig;
-                scope.spawn(move || {
-                    for seq in 0..PUSHES {
-                        rig.push(w, seq).unwrap();
-                        let status = rig.router.replica_status(rig.id).unwrap();
-                        for k in [1, 2] {
-                            assert!(status.replicas[k].in_quorum);
+        for quorum in [2usize, 3] {
+            let rig = DeviceGroup::new(quorum, WRITERS);
+            let before = [rig.devices[0].syncs(), rig.devices[1].syncs()];
+            let pipes = [rig.pipe(1), rig.pipe(2)];
+            // Hold both delivery gates until every writer's first push is
+            // queued: the first window is then WRITERS deltas wide on both
+            // followers, whatever the scheduler does with the rest.
+            let gates = pipes.each_ref().map(|p| p.delivery.lock().unwrap());
+            std::thread::scope(|scope| {
+                for w in 0..WRITERS {
+                    let rig = &rig;
+                    scope.spawn(move || {
+                        for seq in 0..PUSHES {
+                            rig.push(w, seq).unwrap();
+                            let status = rig.router.replica_status(rig.id).unwrap();
+                            assert!(status.replicas.iter().all(|r| r.in_quorum));
                             assert!(
-                                rig.survives_crash(k, w, seq),
-                                "push {seq} of writer {w} acked before follower {k} synced it"
+                                rig.survives_crash(0, w, seq),
+                                "push {seq} of writer {w} acked before the primary synced it"
+                            );
+                            let holders =
+                                (1..=2).filter(|&k| rig.survives_crash(k, w, seq)).count();
+                            assert!(
+                                holders >= quorum - 1,
+                                "push {seq} of writer {w} acked at quorum {quorum} with \
+                                 {holders} follower image(s) holding it"
                             );
                         }
-                    }
-                });
-            }
-            wait_for(|| pipes.iter().all(|p| p.depth() == WRITERS));
-            drop(gates);
-        });
+                    });
+                }
+                wait_for(|| pipes.iter().all(|p| p.depth() == WRITERS));
+                drop(gates);
+            });
 
-        let mutations = WRITERS as u64 * u64::from(PUSHES);
-        for (device, before) in rig.devices.iter().zip(before) {
-            let syncs = device.syncs() - before;
-            assert!(
-                syncs <= mutations - (WRITERS as u64 - 1),
-                "{syncs} follower syncs for {mutations} mutations"
-            );
+            // Once the stragglers have landed too.
+            assert!(rig.router.flush_replication(rig.id));
+            let mutations = WRITERS as u64 * u64::from(PUSHES);
+            for (device, before) in rig.devices.iter().zip(before) {
+                let syncs = device.syncs() - before;
+                assert!(
+                    syncs <= mutations - (WRITERS as u64 - 1),
+                    "{syncs} follower syncs for {mutations} mutations"
+                );
+            }
+            let repl = rig.router.stats().shards[0].replication;
+            assert_eq!(repl.sequence_rejections, 0, "{repl:?}");
+            assert_eq!(repl.snapshot_resyncs, 0, "{repl:?}");
+            rig.assert_converged();
         }
-        let repl = rig.router.stats().shards[0].replication;
-        assert_eq!(repl.sequence_rejections, 0, "{repl:?}");
-        assert_eq!(repl.snapshot_resyncs, 0, "{repl:?}");
-        rig.assert_converged();
     }
 
     /// A chain gap surfacing inside a window heals in place: only the
@@ -4808,7 +4953,7 @@ mod tests {
     }
 
     /// A follower whose device fails the window's one sync fails *every*
-    /// delta of that window: each completion resolves `false` (at quorum 3
+    /// delta of that window: each books a failed receipt (at quorum 3
     /// each push is one ack short; at quorum 2 each still acks through the
     /// other follower), the follower is demoted with the first diagnosis,
     /// and its applied token never moves.
@@ -4849,6 +4994,9 @@ mod tests {
                     ),
                 }
             }
+            // At quorum 2 the acks were follower 1's; wait out follower
+            // 2's failing delivery before reading its state.
+            assert!(rig.router.flush_replication(rig.id));
             let status = rig.router.replica_status(rig.id).unwrap();
             assert!(status.replicas[1].in_quorum);
             assert!(!status.replicas[2].in_quorum);
@@ -4914,6 +5062,7 @@ mod tests {
         assert_eq!(status.primary, 0);
         assert!(status.replicas.iter().all(|r| r.in_quorum), "{status:?}");
         rig.push(0, 2).unwrap();
+        assert!(rig.router.flush_replication(rig.id));
         for k in [1, 2] {
             assert!(rig.survives_crash(k, 0, 2));
         }
@@ -4937,6 +5086,7 @@ mod tests {
         for seq in 0..50 {
             rig.push(0, seq).unwrap();
         }
+        assert!(rig.router.flush_replication(rig.id));
         let after = counters();
         assert_eq!(after[0].ops_committed - before[0].ops_committed, 50);
         assert!(after[0].increments - before[0].increments <= 50);
@@ -4981,7 +5131,8 @@ mod tests {
     /// No delta is staged on a follower before its transit has elapsed:
     /// with a 2 ms wire, the follower WAL put carrying a push lies no
     /// earlier than 2 ms after the push began (it was enqueued later
-    /// still) and no later than its ack — while windows still group.
+    /// still) on either follower, and no later than its ack on the one
+    /// that made the quorum — while windows still group.
     #[test]
     fn no_delta_is_staged_before_its_transit_elapses() {
         const WRITERS: usize = 8;
@@ -5019,26 +5170,36 @@ mod tests {
                 .collect()
         });
 
+        // The follower outside a push's quorum may stage it behind the ack.
+        assert!(rig.router.flush_replication(rig.id));
         let mutations = WRITERS as u64 * u64::from(PUSHES);
-        for (k, (device, before)) in rig.devices.iter().zip(before).enumerate() {
-            let puts = device.puts.lock().unwrap();
-            for (began, acked) in &spans {
-                assert!(
-                    puts.iter().any(|at| *at >= *began + WIRE && at <= acked),
-                    "follower {} staged a delta before its transit elapsed",
-                    k + 1
-                );
-            }
+        let puts = rig
+            .devices
+            .each_ref()
+            .map(|d| d.puts.lock().unwrap().clone());
+        for (began, acked) in &spans {
+            // Each follower's first put once the push's transit was over.
+            let [a, b] = puts.each_ref().map(|puts| {
+                let landed = puts.iter().filter(|at| **at >= *began + WIRE).min();
+                *landed.expect("a follower staged a delta before its transit elapsed")
+            });
+            assert!(
+                a.min(b) <= *acked,
+                "a push acked before any follower staged its delta"
+            );
+        }
+        for (device, before) in rig.devices.iter().zip(before) {
             let syncs = device.syncs() - before;
             assert!(syncs < mutations, "{syncs} syncs for {mutations} mutations");
         }
         rig.assert_converged();
     }
 
-    /// Starts one awaited push per policy on scoped threads, waits until
-    /// `parked` holds, checks that no push has returned, runs `fence`, and
-    /// only then joins the pushes — each must have been released with
-    /// `Ok`. Returns when the last push began.
+    /// Starts one push per policy on scoped threads, waits until `parked`
+    /// holds — a state in which no quorum can form: every follower's copy
+    /// in transit, or a needed follower wedged — checks that no push has
+    /// returned, runs `fence`, and only then joins the pushes — each must
+    /// have been released with `Ok`. Returns when the last push began.
     fn fence_parked_pushes(
         rig: &DeviceGroup,
         seq: u8,
@@ -5057,7 +5218,7 @@ mod tests {
             wait_for(parked);
             assert!(
                 pushes.iter().all(|push| !push.is_finished()),
-                "a push acked while an in-quorum follower's verdict was outstanding"
+                "a push acked short of its write quorum"
             );
             fence();
             pushes
@@ -5116,15 +5277,9 @@ mod tests {
         assert_serves(&rig, 1);
     }
 
-    /// One wedged follower parks every awaited writer — follower 1 holds
-    /// all four writes durably, yet none acks while follower 2's verdict is
-    /// outstanding — until a fence drains through the stall: all four then
-    /// return `Ok`, and the survivor that got them only through its wedged
-    /// pipe serves all four.
-    #[test]
-    fn a_stalled_follower_parks_awaited_writers_until_the_fence_and_loses_none() {
-        const POLICIES: usize = 4;
-        let rig = DeviceGroup::new(2, POLICIES);
+    /// Wedges follower 2's channel from the rig's next replicated
+    /// mutation on.
+    fn wedge_follower_2(rig: &DeviceGroup) -> Arc<FaultPlan> {
         let op = rig.router.replica_status(rig.id).unwrap().ops + 1;
         let plan = FaultPlan::new([PlannedFault {
             shard: rig.id,
@@ -5132,6 +5287,19 @@ mod tests {
             kind: FaultKind::StallForwardChannel(2),
         }]);
         rig.router.set_fault_plan(Arc::clone(&plan));
+        plan
+    }
+
+    /// Where every follower is needed (quorum 3), one wedged follower
+    /// parks every writer — follower 1 holds all four writes durably, yet
+    /// none acks while follower 2's verdict is outstanding — until a fence
+    /// drains through the stall: all four then return `Ok`, and the
+    /// survivor that got them only through its wedged pipe serves all four.
+    #[test]
+    fn a_stalled_follower_parks_awaited_writers_until_the_fence_and_loses_none() {
+        const POLICIES: usize = 4;
+        let rig = DeviceGroup::new(3, POLICIES);
+        let plan = wedge_follower_2(&rig);
         fence_parked_pushes(
             &rig,
             1,
@@ -5147,6 +5315,290 @@ mod tests {
         assert!(rig.router.quarantine(rig.id, "chaos 2").is_some());
         assert_eq!(rig.router.replica_status(rig.id).unwrap().primary, 2);
         assert_serves(&rig, 1);
+    }
+
+    /// The opposite at quorum 2: the same wedged follower parks nobody —
+    /// all four pushes ack on follower 1's receipt with no fence anywhere,
+    /// their deltas still queued behind the stall and follower 2 still in
+    /// the quorum. None is lost for it: the fence drain, not the ack, is
+    /// what puts them on follower 2 before it can be elected.
+    #[test]
+    fn a_stalled_follower_parks_nobody_at_quorum_two_and_loses_none() {
+        const POLICIES: usize = 4;
+        let rig = DeviceGroup::new(2, POLICIES);
+        let plan = wedge_follower_2(&rig);
+        for p in 0..POLICIES {
+            rig.push(p, 1).unwrap();
+            assert!(rig.survives_crash(0, p, 1) && rig.survives_crash(1, p, 1));
+            assert!(!rig.survives_crash(2, p, 1));
+        }
+        assert!(plan.all_fired());
+        assert_eq!(rig.pipe(2).depth(), POLICIES);
+        let status = rig.router.replica_status(rig.id).unwrap();
+        assert!(status.replicas[2].in_quorum && status.failovers == 0);
+        // Pull the primary, then the follower 1 the freshness tie seats.
+        assert!(rig.router.quarantine(rig.id, "chaos 1").is_some());
+        assert_eq!(rig.pipe(2).depth(), 0);
+        assert!(rig.router.quarantine(rig.id, "chaos 2").is_some());
+        assert_eq!(rig.router.replica_status(rig.id).unwrap().primary, 2);
+        assert_serves(&rig, 1);
+    }
+
+    /// A slow follower does not set the ack: with follower 2's device held
+    /// shut every push still returns `Ok` — durable on the primary and on
+    /// follower 1 — and follower 2 catches up behind the acks once its
+    /// device answers again.
+    #[test]
+    fn a_slow_follower_does_not_set_the_ack_at_quorum_two() {
+        const WRITERS: usize = 8;
+        const PUSHES: u8 = 20;
+        let rig = DeviceGroup::new(2, WRITERS);
+        let before = rig.devices[1].syncs();
+        // Its sender sticks in the sync of the first window it pops;
+        // everything later stays queued.
+        let shut = rig.devices[1].gate.lock().unwrap();
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let rig = &rig;
+                scope.spawn(move || {
+                    for seq in 0..PUSHES {
+                        rig.push(w, seq).unwrap();
+                        assert!(
+                            rig.survives_crash(0, w, seq) && rig.survives_crash(1, w, seq),
+                            "push {seq} of writer {w} acked short of its quorum"
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(rig.devices[1].syncs(), before, "follower 2 never synced");
+        let status = rig.router.replica_status(rig.id).unwrap();
+        assert!(status.replicas[2].in_quorum, "slow is not yet faulty");
+        assert!(status.replicas[2].applied < status.replicas[1].applied);
+        drop(shut);
+        assert!(rig.router.flush_replication(rig.id));
+        assert_eq!(rig.pipe(2).depth(), 0);
+        for w in 0..WRITERS {
+            assert!(rig.survives_crash(2, w, PUSHES - 1));
+        }
+        rig.assert_converged();
+    }
+
+    /// A quorum-acked write outlives both replicas that made its quorum:
+    /// the primary crashes right after acks follower 1 alone vouched for —
+    /// follower 2's copies still queued behind its stuck device — and then
+    /// follower 1 is pulled as well. The failover's fence drain delivered
+    /// them before the election, so follower 2 serves every one.
+    #[test]
+    fn a_quorum_acked_write_survives_losing_the_primary_and_the_follower_that_acked_it() {
+        const POLICIES: usize = 4;
+        let rig = DeviceGroup::new(2, POLICIES);
+        let before = rig.devices[1].syncs();
+        let staged = rig.devices[1].puts.lock().unwrap().len();
+        let shut = rig.devices[1].gate.lock().unwrap();
+        for p in 0..POLICIES {
+            rig.push(p, 1).unwrap();
+        }
+        // Follower 2's sender has staged a window of these and is stuck in
+        // its sync: whatever is enqueued from here on stays queued.
+        wait_for(|| rig.devices[1].puts.lock().unwrap().len() > staged);
+        let op = rig.router.replica_status(rig.id).unwrap().ops + POLICIES as u64;
+        let plan = FaultPlan::new([PlannedFault {
+            shard: rig.id,
+            op,
+            kind: FaultKind::CrashAfterQuorum,
+        }]);
+        rig.router.set_fault_plan(Arc::clone(&plan));
+        for p in 0..POLICIES - 1 {
+            rig.push(p, 2).unwrap();
+        }
+        std::thread::scope(|scope| {
+            // The last push crashes the primary behind its quorum ack; the
+            // failover's fence then waits for follower 2's device.
+            let last = scope.spawn(|| rig.push(POLICIES - 1, 2));
+            wait_for(|| plan.all_fired());
+            assert!(rig.pipe(2).depth() >= POLICIES, "the copies are queued");
+            assert_eq!(rig.devices[1].syncs(), before);
+            drop(shut);
+            last.join().unwrap().unwrap();
+        });
+        assert_eq!(rig.router.replica_status(rig.id).unwrap().primary, 1);
+        assert_eq!(rig.pipe(2).depth(), 0);
+        assert!(rig.router.quarantine(rig.id, "chaos 2").is_some());
+        assert_eq!(rig.router.replica_status(rig.id).unwrap().primary, 2);
+        assert_serves(&rig, 2);
+    }
+
+    /// Wedges follower 2 and pushes one mutation more than its channel
+    /// may hold, at quorum 2: every push acks, the backlog stops at the
+    /// cap, and the enqueue that found it there demoted the follower.
+    /// Returns the rig and the last push's sequence number.
+    fn backlog_demoted_rig() -> (DeviceGroup, u8) {
+        let rig = DeviceGroup::new(2, 1);
+        wedge_follower_2(&rig);
+        let seq = |i: usize| (i % 251) as u8;
+        for i in 0..=PIPE_BACKLOG_CAP {
+            rig.push(0, seq(i)).unwrap();
+            assert!(rig.pipe(2).depth() <= PIPE_BACKLOG_CAP);
+        }
+        let pipe = rig.pipe(2);
+        assert_eq!(pipe.depth(), PIPE_BACKLOG_CAP);
+        assert_eq!(pipe.depth_peak.load(Ordering::Relaxed), PIPE_BACKLOG_CAP);
+        let status = rig.router.replica_status(rig.id).unwrap();
+        assert!(status.replicas[1].in_quorum && !status.replicas[2].in_quorum);
+        assert!(!status.replicas[2].quarantined);
+        let reason = {
+            let topo = rig.router.topology.read();
+            let reason = topo.shards[&rig.id].replicas[2].reason.lock().clone();
+            reason.expect("demotion records its diagnosis")
+        };
+        assert!(
+            reason.starts_with("demoted: forward backlog at the cap"),
+            "{reason}"
+        );
+        (rig, seq(PIPE_BACKLOG_CAP))
+    }
+
+    /// Nothing paces a follower outside the quorum but its backlog: at the
+    /// cap it is demoted — never quorum-read while it lags — and one
+    /// anti-entropy sweep fences through the stall, converges the delta the
+    /// cap refused and re-admits it, digest-equal.
+    #[test]
+    fn an_unawaited_backlog_is_bounded_by_demotion() {
+        let (rig, last) = backlog_demoted_rig();
+        rig.router.set_read_preference(ReadPreference::Quorum);
+        let reads = |rig: &DeviceGroup| {
+            let repl = rig.router.stats().shards[0].replication;
+            repl.reads_follower + repl.reads_primary
+        };
+        let before = reads(&rig);
+        for _ in 0..12 {
+            assert_serves(&rig, last); // follower 2 holds none of the pushes
+        }
+        assert_eq!(reads(&rig) - before, 12);
+        // Demoted, it takes no further deltas: the backlog cannot grow.
+        rig.push(0, last).unwrap();
+        assert_eq!(rig.pipe(2).depth(), PIPE_BACKLOG_CAP);
+
+        assert_eq!(rig.router.anti_entropy_sweep(rig.id), (1, 1));
+        assert_eq!(rig.pipe(2).depth(), 0);
+        let status = rig.router.replica_status(rig.id).unwrap();
+        assert!(status.replicas[2].in_quorum);
+        assert_eq!(status.replicas[2].applied, status.replicas[0].applied);
+        assert!(rig.survives_crash(2, 0, last));
+        rig.assert_converged();
+    }
+
+    /// A backlog-demoted follower is never elected: the failover's fence
+    /// delivers its backlog, but the delta the cap refused is a gap no
+    /// election may seat — with the primary and follower 1 both pulled the
+    /// group goes dark rather than serve from it.
+    #[test]
+    fn a_backlog_demoted_follower_is_never_elected() {
+        let (rig, _) = backlog_demoted_rig();
+        assert_eq!(
+            rig.router.quarantine(rig.id, "chaos 1"),
+            Some(QuarantineOutcome::FailedOver { new_primary: 1 })
+        );
+        assert_eq!(rig.pipe(2).depth(), 0, "the fence delivered the backlog");
+        assert_eq!(
+            rig.router.quarantine(rig.id, "chaos 2"),
+            Some(QuarantineOutcome::GroupDark)
+        );
+        assert!(!rig.router.replica_status(rig.id).unwrap().replicas[2].in_quorum);
+    }
+
+    /// `QuorumLost` is reported as soon as the quorum cannot form any
+    /// more — every queued forward resolved — not at [`ACK_WAIT_CAP`]: a
+    /// follower whose delivery fails, and one the forward never reached.
+    #[test]
+    fn quorum_lost_is_reported_as_soon_as_it_is_certain() {
+        for partitioned in [false, true] {
+            let rig = DeviceGroup::new(3, 1);
+            if partitioned {
+                let op = rig.router.replica_status(rig.id).unwrap().ops + 1;
+                rig.router.set_fault_plan(FaultPlan::new([PlannedFault {
+                    shard: rig.id,
+                    op,
+                    kind: FaultKind::DropForwardToReplica(2),
+                }]));
+            } else {
+                rig.devices[1].cache.fail_after(0);
+            }
+            let began = Instant::now();
+            let result = rig.push(0, 1);
+            assert!(
+                matches!(
+                    result,
+                    Err(ClusterError::QuorumLost {
+                        acked: 2,
+                        needed: 3,
+                        ..
+                    })
+                ),
+                "{result:?}"
+            );
+            assert!(began.elapsed() < ACK_WAIT_CAP / 2);
+            assert!(rig.survives_crash(1, 0, 1), "follower 1 did count");
+        }
+    }
+
+    /// An injected counter rollback is its victim's business alone: it
+    /// lands the victim's own receipt first (which would otherwise raise
+    /// the token again behind it) and touches no other channel. Follower 1
+    /// is stuck in a sync with the next delta queued behind it and a
+    /// [`FaultKind::DropBatch`] pending on that; the push that rolls
+    /// follower 2 back neither waits for follower 1's device nor delivers
+    /// or drops that delta — the drop fires on follower 1's own sender
+    /// once its device answers.
+    #[test]
+    fn a_counter_rollback_touches_only_its_victims_channel() {
+        let rig = DeviceGroup::new(2, 2);
+        let staged = rig.devices[0].puts.lock().unwrap().len();
+        let shut = rig.devices[0].gate.lock().unwrap();
+        rig.push(0, 1).unwrap(); // follower 2 vouches for it
+        wait_for(|| rig.devices[0].puts.lock().unwrap().len() > staged);
+        let op = rig.router.replica_status(rig.id).unwrap().ops + 1;
+        let plan = FaultPlan::new(
+            [
+                FaultKind::DropBatch(1),
+                FaultKind::CounterRollback { replica: 2, to: 0 },
+            ]
+            .map(|kind| PlannedFault {
+                shard: rig.id,
+                op,
+                kind,
+            }),
+        );
+        rig.router.set_fault_plan(Arc::clone(&plan));
+        let fences = || rig.router.stats().shards[0].replication.flushes_fence;
+        let before = fences();
+        let (returned, queued, status) = std::thread::scope(|scope| {
+            let push = scope.spawn(|| rig.push(1, 1));
+            // Capped, and the gate reopened before anything is asserted: a
+            // rollback that waits for follower 1 must fail, not hang.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !push.is_finished() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let seen = (
+                push.is_finished(),
+                rig.pipe(1).depth(),
+                rig.router.replica_status(rig.id).unwrap(),
+            );
+            drop(shut);
+            push.join().unwrap().unwrap();
+            seen
+        });
+        assert!(returned, "the rollback waited for follower 1's device");
+        assert!(plan.all_fired());
+        assert_eq!(queued, 1, "follower 1's delta stayed queued, drop pending");
+        assert_eq!(status.replicas[2].applied, 0);
+        assert!(status.replicas[1].in_quorum && status.replicas[2].in_quorum);
+        wait_for(|| rig.pipe(1).depth() == 0);
+        assert!(rig.survives_crash(1, 0, 1), "the window it was stuck in");
+        assert!(!rig.survives_crash(1, 1, 1), "the dropped one");
+        assert_eq!(fences(), before, "a rollback is not a fence");
     }
 
     // ------------------------------------------------------------------
@@ -5186,6 +5638,7 @@ mod tests {
             let rows = |e: &Arc<Palaemon>| e.export_records_for(&consumer, &producer).len();
             engines.iter().map(rows).collect()
         };
+        assert!(router.flush_replication(ShardId(1)));
         assert_eq!(held(), [1, 1, 1], "the row pre-lands on the whole group");
         let seat = router.engine(ShardId(1)).unwrap();
         assert!(!seat.policy_names().contains(&consumer));

@@ -290,9 +290,14 @@ fn drain_of_replicated_arc_mid_mutation_leaves_no_divergence() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    // No divergence: within every surviving group, every in-quorum replica
-    // exports byte-identical records for every policy it owns.
+    // No divergence: within every surviving group — once what the last
+    // acks left on its way to the slower follower has landed — every
+    // in-quorum replica exports byte-identical records for every policy
+    // it owns.
     assert_eq!(router.shard_count(), 2);
+    for id in router.shard_ids() {
+        assert!(router.flush_replication(id));
+    }
     for (i, name) in names.iter().enumerate() {
         let home = router.shard_for_policy(name).unwrap();
         assert_ne!(home, ShardId(1));

@@ -307,6 +307,8 @@ fn lost_incremental_heals_by_snapshot_resync_never_diverges() {
     // Op 3: follower 2 rejects the out-of-sequence incremental (its chain
     // is at v1, the delta chains from v2) and is resynced with a snapshot.
     update(&router, "li", 3).unwrap();
+    // The ack was follower 1's; let follower 2's delivery land as well.
+    assert!(router.flush_replication(id));
     let repl = router.stats().shards[0].replication;
     assert!(repl.sequence_rejections >= 1, "{repl:?}");
     assert_eq!(repl.snapshot_resyncs, 1, "{repl:?}");
@@ -355,6 +357,8 @@ fn reordered_incremental_is_rejected_and_never_rolls_back() {
     // out of sequence (snapshot resync to v3), and the stale v2 delta then
     // arrives late — it must be rejected, not roll the follower back.
     update(&router, "ri", 3).unwrap();
+    // The ack was follower 1's; let both of follower 2's deliveries land.
+    assert!(router.flush_replication(id));
     let repl = router.stats().shards[0].replication;
     assert_eq!(repl.snapshot_resyncs, 1, "{repl:?}");
     assert!(
@@ -640,6 +644,7 @@ fn rolled_back_replica_is_never_elected_primary() {
     let id = ShardId(0);
 
     create(&router, "rb", 1); // op 1
+    assert!(router.flush_replication(id)); // landed on both followers
     assert!(router.health_check()[0].healthy); // watches armed
     let plan = FaultPlan::new([PlannedFault {
         shard: id,
@@ -923,6 +928,9 @@ fn wait_for(cond: impl Fn() -> bool) {
 /// replicated mutation.
 fn stall_both_followers(router: &ClusterRouter) -> Arc<FaultPlan> {
     let id = ShardId(0);
+    // Start from empty channels: the set-up's acks were the quorum's, and
+    // a straggler's leftover delta would count into the depths below.
+    assert!(router.flush_replication(id));
     let op = router.replica_status(id).unwrap().ops + 1;
     let plan = FaultPlan::new([1, 2].map(|k| PlannedFault {
         shard: id,
@@ -933,11 +941,11 @@ fn stall_both_followers(router: &ClusterRouter) -> Arc<FaultPlan> {
     plan
 }
 
-/// Starts one awaited update (to `version`) per policy on scoped threads,
-/// waits until every one of them sits queued on both follower channels of
-/// shard 0 — parked behind the wedge, its ack outstanding — checks that
-/// none has returned, runs `fence`, and only then joins them: each must
-/// have been released with `Ok`.
+/// Starts one update (to `version`) per policy on scoped threads, waits
+/// until every one of them sits queued on both follower channels of shard
+/// 0 — both wedged, so no follower can make its quorum and it is parked on
+/// the ack — checks that none has returned, runs `fence`, and only then
+/// joins them: each must have been released with `Ok`.
 fn fence_parked_updates(
     router: &ClusterRouter,
     names: &[&str],
@@ -1023,6 +1031,7 @@ fn dropped_batch_heals_by_snapshot_resync_and_survives_failover() {
     let id = ShardId(0);
 
     create(&router, "db", 1); // op 1
+    assert!(router.flush_replication(id)); // on both followers
     let applied_after_create = router.replica_status(id).unwrap().replicas[1].applied;
 
     // Op 2's window to follower 1 vanishes on the wire.
@@ -1032,9 +1041,19 @@ fn dropped_batch_heals_by_snapshot_resync_and_survives_failover() {
         kind: FaultKind::DropBatch(1),
     }]);
     router.set_fault_plan(Arc::clone(&plan));
-    update(&router, "db", 2).unwrap(); // op 2: acked by the primary + follower 2
+    update(&router, "db", 2).unwrap(); // op 2: acked by the primary + one follower
     assert!(plan.all_fired());
 
+    let status = router.replica_status(id).unwrap();
+    assert!(
+        status.replicas[1..]
+            .iter()
+            .any(|r| r.applied > applied_after_create),
+        "some follower's copy of v2 must land: the ack needed it"
+    );
+    // The doomed window leaves the queue — with follower 1's sender or with
+    // this flush — before op 3 can join it.
+    assert!(router.flush_replication(id));
     let status = router.replica_status(id).unwrap();
     assert!(
         status.replicas[1].in_quorum,
@@ -1044,15 +1063,13 @@ fn dropped_batch_heals_by_snapshot_resync_and_survives_failover() {
         status.replicas[1].applied, applied_after_create,
         "the dropped batch must leave follower 1 behind"
     );
-    assert!(
-        status.replicas[2].applied > applied_after_create,
-        "follower 2's copy of v2 must land"
-    );
 
     // Op 3 ships normally: follower 1 rejects the out-of-sequence delta
     // (its chain is at v1, the delta chains from v2) and resyncs by
     // snapshot.
     update(&router, "db", 3).unwrap();
+    // The ack was follower 2's; let follower 1's delivery land as well.
+    assert!(router.flush_replication(id));
     let repl = router.stats().shards[0].replication;
     assert!(repl.sequence_rejections >= 1, "{repl:?}");
     assert_eq!(repl.snapshot_resyncs, 1, "{repl:?}");
@@ -1085,6 +1102,9 @@ fn flight_recorder_captures_the_election() {
         create(&router, name, 1);
     }
     stall_both_followers(&router);
+    // Drains before this point (the set-up's flush) are not the failover's.
+    let flight = router.telemetry().flight();
+    let set_up = flight.events().last().map_or(0, |e| e.seq);
     fence_parked_updates(&router, &names, 2, || {
         assert!(router.quarantine(id, "chaos: primary pulled").is_some());
     });
@@ -1095,9 +1115,10 @@ fn flight_recorder_captures_the_election() {
         assert_eq!(read_version(&router, name), 2, "acked writes survive");
     }
 
-    let events = router.telemetry().flight().events();
+    let events = flight.events();
     let drained: u64 = events
         .iter()
+        .filter(|e| e.seq > set_up)
         .filter_map(|e| match e.kind {
             EventKind::FenceDrain {
                 shard: 0,

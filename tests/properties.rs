@@ -439,14 +439,15 @@ fn delta_op_strategy() -> impl Strategy<Value = DeltaOp> {
 
 /// One step of a randomized schedule for the pipelined replication data
 /// plane: forwards ride per-follower background channels and an ack
-/// awaits every in-quorum follower's durable verdict.
+/// awaits the `write_quorum − 1`-th follower's durable verdict (here: one).
 #[derive(Debug, Clone, Copy)]
 enum PipelineOp {
     /// Publish the next version of policy `0..2`.
     Update(u8),
     /// Wedge replica `0..3`'s forward channel at the next mutation (the
-    /// sender stops draining; mutations queued behind it park on their
-    /// ack until a fence; cleared by reinstate).
+    /// sender stops draining; a mutation queued behind it parks on its ack
+    /// until a fence only if no other follower can make its quorum;
+    /// cleared by reinstate).
     Stall(u8),
     /// Silently drop the next window delivered to follower 1 (acked
     /// writes survive on the primary and follower 2; the chain gap must
@@ -638,7 +639,9 @@ proptest! {
         let status = router.replica_status(id).unwrap();
         prop_assert!(status.replicas.iter().all(|r| r.in_quorum));
 
-        // Invariant 2: no silent divergence — every replica identical.
+        // Invariant 2: no silent divergence — once the slower follower's
+        // deliveries have landed too, every replica is identical.
+        router.flush_replication(id);
         let engines = router.replica_engines(id);
         for p in 0..POLICIES {
             let name = format!("delta-{p}");
@@ -676,9 +679,15 @@ proptest! {
     ///    records: stalls and dropped windows never cause silent
     ///    divergence.
     ///
-    /// An update that meets a wedged channel parks on its ack, so it is
-    /// issued from a scoped thread and joined after the next fencing op
-    /// (a primary crash or a reinstate) — which must release it.
+    /// An update acks at its quorum: while one in-quorum follower's channel
+    /// is clear it **must** return `Ok`, whatever else is wedged — the
+    /// wedged follower's copy stays queued, a straggler no flush ever
+    /// delivers. Only an update no clear follower can vouch for may park on
+    /// its ack; that one is issued from a scoped thread and joined after
+    /// the next fencing op (a primary crash or a reinstate) — which must
+    /// release it. A crash is never preceded by a flush here: the
+    /// deposition fence alone must put every acked version on the seat it
+    /// elects, so after each crash the new seat is read on its own first.
     #[test]
     fn windowed_pipeline_never_serves_stale_and_never_diverges(
         ops in proptest::collection::vec(pipeline_op_strategy(), 1..40)
@@ -761,7 +770,7 @@ proptest! {
         std::thread::scope(|scope| {
             let mut parked = Vec::new();
             for op in ops.into_iter().chain(drain) {
-                let mut fenced = false;
+                let (mut fenced, mut crashed) = (false, false);
                 match op {
                     PipelineOp::Update(p) => {
                         version += 1;
@@ -776,9 +785,18 @@ proptest! {
                             }
                             armed.retain(|&(at, _)| at > this_op);
                         }
-                        let parks = routable
-                            && status.replicas.iter().any(|r| !r.primary && r.in_quorum && stalled[r.replica]);
-                        if parks {
+                        let followers = || status.replicas.iter().filter(|r| !r.primary && r.in_quorum);
+                        let wedged = routable && followers().any(|r| stalled[r.replica]);
+                        // A clear follower makes the quorum — unless it is
+                        // replica 1, whose window a `DropBatch` may take.
+                        let vouched = followers().any(|r| !stalled[r.replica] && r.replica != 1);
+                        if wedged && vouched {
+                            prop_assert!(
+                                update(p, version).is_ok(),
+                                "a wedged follower outside the quorum held up the ack"
+                            );
+                            acked[p as usize] = version;
+                        } else if wedged {
                             let writer = scope.spawn(move || update(p, version));
                             // Enqueued (hence parked) before the schedule moves on.
                             let deadline = Instant::now() + Duration::from_secs(10);
@@ -814,6 +832,7 @@ proptest! {
                     PipelineOp::CrashPrimary => {
                         router.quarantine(id, "prop: crash");
                         fenced = true;
+                        crashed = true;
                     }
                     PipelineOp::Reinstate => {
                         router.reinstate(id);
@@ -838,23 +857,32 @@ proptest! {
                 // Invariant 1: several reads of both policies, so the rotation
                 // crosses every eligible replica — none may serve older than
                 // that policy's last acked write, follower lag notwithstanding.
-                for p in 0..POLICIES {
-                    for _ in 0..REPLICAS as usize {
-                        match router.handle(TmsRequest::ReadPolicy {
-                            name: format!("pipe-{p}"),
-                            client: owner,
-                            approval: None,
-                            votes: Vec::new(),
-                        }) {
-                            Ok(TmsResponse::Policy(policy)) => {
-                                let seen: u64 = policy.services[0].env["VERSION"].parse().unwrap();
-                                prop_assert!(
-                                    seen >= acked[p as usize],
-                                    "read of pipe-{p} saw v{seen} after v{} was acked",
-                                    acked[p as usize]
-                                );
+                // After a crash the freshly elected seat answers alone first.
+                let placements: &[ReadPreference] = if crashed {
+                    &[ReadPreference::Primary, ReadPreference::Quorum]
+                } else {
+                    &[ReadPreference::Quorum]
+                };
+                for &placement in placements {
+                    router.set_read_preference(placement);
+                    for p in 0..POLICIES {
+                        for _ in 0..REPLICAS as usize {
+                            match router.handle(TmsRequest::ReadPolicy {
+                                name: format!("pipe-{p}"),
+                                client: owner,
+                                approval: None,
+                                votes: Vec::new(),
+                            }) {
+                                Ok(TmsResponse::Policy(policy)) => {
+                                    let seen: u64 = policy.services[0].env["VERSION"].parse().unwrap();
+                                    prop_assert!(
+                                        seen >= acked[p as usize],
+                                        "{placement:?} read of pipe-{p} saw v{seen} after v{} was acked",
+                                        acked[p as usize]
+                                    );
+                                }
+                                other => prop_assert!(false, "routable group must serve: {other:?}"),
                             }
-                            other => prop_assert!(false, "routable group must serve: {other:?}"),
                         }
                     }
                 }

@@ -141,8 +141,10 @@ fn read_version(router: &ClusterRouter, name: &str) -> u64 {
 }
 
 /// Asserts every replica of `id` holds byte-identical records for every
-/// policy any of them knows — the anti-entropy convergence invariant.
+/// policy any of them knows — the anti-entropy convergence invariant —
+/// once whatever the last acks left on its way to a follower has landed.
 fn assert_digests_converged(router: &ClusterRouter, id: ShardId) {
+    assert!(router.flush_replication(id));
     let engines = router.replica_engines(id);
     let mut names: Vec<String> = Vec::new();
     for engine in &engines {
@@ -981,6 +983,8 @@ fn a_failed_sweep_repair_demotes_with_its_cause() {
     create(&router, "sw", 1); // op 1
     update(&router, "sw", 2).unwrap(); // op 2: lost on replica 2's wire
     assert!(router.replica_status(id).unwrap().replicas[2].in_quorum);
+    // Replica 2's copy of op 1 lands while its disk still works.
+    assert!(router.flush_replication(id));
 
     let monitor = ClusterMonitor::new(Arc::clone(&router), MonitorConfig::default());
     fail.store(true, Ordering::Release);

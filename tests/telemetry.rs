@@ -301,6 +301,9 @@ fn replication_accounting_is_conserved() {
             update(&router, &format!("cons_{p}"), version);
         }
     }
+    // An ack is the quorum's; the books balance once the slower follower's
+    // deliveries have landed too.
+    assert!(router.flush_replication(ShardId(0)));
     let after = router.stats().shards[0].replication;
 
     assert_eq!(after.sequence_rejections, before.sequence_rejections);
