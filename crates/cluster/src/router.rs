@@ -863,14 +863,17 @@ impl Replica {
     /// every forward of a burst keeps the original cause, and a
     /// quarantine reason already in the slot is never overwritten.
     /// Cleared by [`Replica::rejoin`] (reinstate, or the monitor's
-    /// re-admission).
-    fn demote(&self, reason: String) {
+    /// re-admission). Returns whether `reason` became the diagnosis; call
+    /// it through [`GroupCore::demote`], which records that as an event.
+    fn demote(&self, reason: &str) -> bool {
         let mut slot = self.reason.lock();
-        if slot.is_none() {
-            *slot = Some(reason);
+        let first = slot.is_none();
+        if first {
+            *slot = Some(reason.to_owned());
         }
         drop(slot);
         self.in_quorum.store(false, Ordering::Release);
+        first
     }
 
     /// Quarantines the replica. An already-quarantined replica keeps its
@@ -1163,6 +1166,20 @@ impl GroupCore {
         Arc::clone(roster[idx].engine())
     }
 
+    /// Demotes replica `k` from the write quorum (see [`Replica::demote`])
+    /// and, when `reason` is the diagnosis that stuck, records it as an
+    /// [`EventKind::Demotion`] — the one way a follower leaves the quorum
+    /// short of quarantine, so the flight recorder sees every one.
+    pub(super) fn demote(&self, k: usize, follower: &Replica, reason: String) {
+        if follower.demote(&reason) {
+            self.flight.record(EventKind::Demotion {
+                shard: self.shard,
+                replica: k,
+                reason,
+            });
+        }
+    }
+
     /// Stages one delta on follower `k` (applied and in its commit window,
     /// not yet synced), healing a broken chain with an on-the-spot snapshot
     /// resync — staged too — from the current primary seat. The follower
@@ -1289,9 +1306,8 @@ impl GroupCore {
                     true
                 }
                 Err(e) => {
-                    follower.demote(format!(
-                        "demoted: applying delta for policy '{policy}' failed: {e}"
-                    ));
+                    let why = format!("demoted: applying delta for policy '{policy}' failed: {e}");
+                    self.demote(k, follower, why);
                     false
                 }
             };
@@ -1638,7 +1654,8 @@ impl ReplicaSet {
                 continue;
             }
             if let Err(e) = install(follower) {
-                follower.demote(format!("demoted: installing policy '{policy}' failed: {e}"));
+                let why = format!("demoted: installing policy '{policy}' failed: {e}");
+                self.demote(k, follower, why);
             }
         }
         // The install re-based every replica's copy outside the delta
@@ -1661,7 +1678,8 @@ impl ReplicaSet {
                 continue;
             }
             if let Err(e) = follower.engine().purge_policy_records(policy) {
-                follower.demote(format!("demoted: purging policy '{policy}' failed: {e}"));
+                let why = format!("demoted: purging policy '{policy}' failed: {e}");
+                self.demote(k, follower, why);
             }
         }
         self.chain.lock().remove(policy);
@@ -2564,7 +2582,8 @@ impl ClusterRouter {
                         // Partitioned, and the router *saw* the send
                         // fail: the follower no longer counts toward the
                         // quorum until it catches up.
-                        follower.demote("demoted: forward failed (partitioned link)".into());
+                        let why = "demoted: forward failed (partitioned link)".into();
+                        group.demote(k, follower, why);
                         continue;
                     }
                     if faults.contains(&FaultKind::LoseIncremental(k)) {
@@ -2594,9 +2613,10 @@ impl ClusterRouter {
                     // backlog is what bounds it: a slow follower is a
                     // faulty follower. Whatever is queued still lands;
                     // the next sweep (or reinstate) converges the rest.
-                    follower.demote(format!(
+                    let why = format!(
                         "demoted: forward backlog at the cap ({PIPE_BACKLOG_CAP} undelivered deltas)"
-                    ));
+                    );
+                    group.demote(k, follower, why);
                     continue;
                 }
                 queued += 1;
@@ -3200,7 +3220,8 @@ impl ClusterRouter {
             let done = match converge(group, follower) {
                 Ok(done) => done,
                 Err(e) => {
-                    follower.demote(format!("demoted: anti-entropy repair failed: {e}"));
+                    let why = format!("demoted: anti-entropy repair failed: {e}");
+                    group.demote(k, follower, why);
                     continue;
                 }
             };
@@ -5099,6 +5120,61 @@ mod tests {
         rig.assert_converged();
     }
 
+    /// A follower's sender is a lone committer: it stages a shipped batch's
+    /// deltas and redeems their tickets itself, nobody ever parks beside it,
+    /// so — whatever the primary's window leaders do for a herd of writers —
+    /// a shipped batch is one WAL window and one sync on its follower, and
+    /// the primary still pays one Fig. 6 increment per window of its own.
+    #[test]
+    fn a_follower_pays_one_window_per_shipped_batch() {
+        const WRITERS: usize = 8;
+        const PUSHES: u8 = 20;
+        let rig = DeviceGroup::new(2, WRITERS);
+        let windows = || {
+            let engines = rig.router.replica_engines(rig.id);
+            [0, 1, 2].map(|k| engines[k].db_stats().wal_windows)
+        };
+        let shipped = || {
+            let repl = rig.router.stats().shards[0].replication;
+            repl.flushes_durable + repl.flushes_fence
+        };
+        let increments = || {
+            let topo = rig.router.topology.read();
+            let counter = topo.shards[&rig.id].replicas[0].counter.as_ref().unwrap();
+            counter.stats().increments
+        };
+        let syncs = || [rig.devices[0].syncs(), rig.devices[1].syncs()];
+        let counts = || (windows(), shipped(), increments(), syncs());
+        let (windows0, shipped0, increments0, syncs0) = counts();
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let rig = &rig;
+                scope.spawn(move || {
+                    for seq in 0..PUSHES {
+                        rig.push(w, seq).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(rig.router.flush_replication(rig.id));
+        let (windows1, shipped1, increments1, syncs1) = counts();
+        let flushed = [0, 1, 2].map(|k| windows1[k] - windows0[k]);
+        assert_eq!(
+            flushed[1] + flushed[2],
+            shipped1 - shipped0,
+            "one follower window per batch delivered"
+        );
+        for k in [1, 2] {
+            assert_eq!(flushed[k], syncs1[k - 1] - syncs0[k - 1], "follower {k}");
+        }
+        assert_eq!(
+            flushed[0],
+            increments1 - increments0,
+            "increments == wal_windows"
+        );
+        rig.assert_converged();
+    }
+
     /// An early return between stage and redeem — here the seat crashing
     /// before the forward — still redeems the staged commit, so the
     /// deposed server's `ok + failed` equals the requests it handled.
@@ -5456,6 +5532,20 @@ mod tests {
             reason.starts_with("demoted: forward backlog at the cap"),
             "{reason}"
         );
+        // The flight recorder saw it leave the quorum, once, with that cause.
+        let events = rig.router.telemetry().flight().events();
+        let demotions: Vec<_> = events
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Demotion {
+                    shard: 0,
+                    replica,
+                    reason,
+                } => Some((replica, reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(demotions, [(2, reason)]);
         (rig, seq(PIPE_BACKLOG_CAP))
     }
 

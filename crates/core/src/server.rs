@@ -761,6 +761,77 @@ mod tests {
     }
 
     #[test]
+    fn strict_front_door_sessions_fill_the_window() {
+        use crate::frontdoor::FrontDoor;
+        /// A device whose `sync` takes a millisecond.
+        struct SlowSync(MemStore);
+        impl BlockStore for SlowSync {
+            fn get(&self, name: &str) -> Option<Vec<u8>> {
+                self.0.get(name)
+            }
+            fn put(&self, name: &str, data: Vec<u8>) {
+                self.0.put(name, data);
+            }
+            fn delete(&self, name: &str) {
+                self.0.delete(name);
+            }
+            fn list(&self) -> Vec<String> {
+                self.0.list()
+            }
+            fn sync(&self) -> shielded_fs::Result<()> {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                self.0.sync()
+            }
+        }
+        let counter = Arc::new(BatchedCounter::new(MemFileCounter::new()));
+        let (server, platform, mre, _) =
+            server_over(Box::new(SlowSync(MemStore::new())), Some(counter));
+        let sessions: Vec<SessionId> = (0..16).map(|_| attest(&server, &platform, mre)).collect();
+        let before = server.stats();
+        let windows_before = server.engine().db_stats().wal_windows;
+        // Sixteen closed-loop sessions over eight workers: every verdict
+        // frees the workers parked on it, and each goes straight to
+        // the next queued push. The window they come back to must still be
+        // open — nothing above the storage engine knows why it is.
+        let door = FrontDoor::with_capacity(server.clone(), 8, 64);
+        std::thread::scope(|scope| {
+            for &session in &sessions {
+                let door = &door;
+                scope.spawn(move || {
+                    for i in 0..20u8 {
+                        door.submit(TmsRequest::PushTag {
+                            session,
+                            volume: "data".into(),
+                            tag: Digest::from_bytes([i; 32]),
+                            event: TagEvent::Sync,
+                        })
+                        .wait()
+                        .unwrap();
+                    }
+                });
+            }
+        });
+        let drained = door.drain();
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
+        let after = server.stats();
+        let (c0, c1) = (before.counter.unwrap(), after.counter.unwrap());
+        let windows = server.engine().db_stats().wal_windows - windows_before;
+        assert_eq!(c1.ops_committed - c0.ops_committed, 320);
+        assert_eq!(c1.increments - c0.increments, windows);
+        assert_eq!((after.ok + after.failed) - (before.ok + before.failed), 320);
+        assert_eq!(after.failed, 0);
+        // A leader that closed its window the instant it was elected would
+        // see the eight workers alternate, four to a window (≈ 80 windows);
+        // one that waits for all but the last of them keeps seven to a
+        // window (48–50 windows; up to 55 on a machine three times
+        // oversubscribed).
+        assert!(
+            windows <= 60,
+            "320 pushes over 8 workers took {windows} windows"
+        );
+    }
+
+    #[test]
     fn a_failed_cover_fails_the_request_unacked_with_its_state_visible() {
         /// Fails exactly its second increment.
         struct Flaky(u64);

@@ -15,7 +15,19 @@
 //!   flush window rides **one** sealed WAL batch and **one** `sync` — and,
 //!   for commits staged with [`Db::commit_stage_covered`], **one**
 //!   [`CommitCover`] call (the Fig. 6 counter increment) made by the
-//!   window's leader between that sync and the acknowledgement.
+//!   window's leader between that sync and the acknowledgement;
+//! * a window's leader is *elected*, may *linger*, then *closes*: the
+//!   paper's tag push is a closed loop (a service blocks until its tag is
+//!   acknowledged, Fig. 6 / Fig. 11), so every acknowledgement releases a
+//!   herd of writers that stage their next commit a moment later. The
+//!   leader holds the window open for that herd — until all of it but one
+//!   is back (the last stages into the next window and leads it), or for at
+//!   most a quarter of the store's last `sync` — instead of closing it in
+//!   their face and leaving them to sit out a whole foreign sync. A commit
+//!   that arrives alone (no herd was released, or not recently, or herds
+//!   have not been coming back) is flushed at once, as ever: nothing is
+//!   configured, the windows measure it all themselves
+//!   ([`store`]'s module docs have the rule).
 //!
 //! Integrity: every WAL batch and snapshot is AEAD-bound to its sequence
 //! number, so record tampering and reordering are detected at open. A

@@ -8,42 +8,126 @@
 //! table. Durability runs through a shared [`WalShared`] core so commits
 //! group-commit across writer threads:
 //!
-//! * [`Db::commit_stage`] appends the handle's pending ops into the current
+//! * [`Db::commit_stage`] appends the handle's pending ops into the open
 //!   *window* under the window mutex and returns a [`CommitTicket`] — cheap,
 //!   done while the caller still holds whatever outer lock serializes table
 //!   mutation (in PALÆMON, the engine's db write lock).
 //!   [`Db::commit_stage_covered`] does the same and also counts the commit
 //!   towards the window's [`CommitCover`];
 //! * [`CommitTicket::wait`] — called **after** dropping that outer lock —
-//!   elects one committer per window as leader. The leader runs the window
-//!   start to finish: **seal** everything staged in it as one WAL batch,
-//!   bump **meta**, perform the single `store.sync()`, then — if the window
-//!   carried covered commits — call the **cover** once with their count, and
-//!   only then post the **verdict**. Followers park on a condvar and wake
-//!   with that verdict, so no ticket of a window reads `Ok` before a cover
-//!   issued *after that window's sync* has returned `Ok`; a failed sync or a
-//!   failed cover fails every ticket of the window alike. While a leader
-//!   runs, new committers stage into the *next* window, so the sync (and
-//!   the cover) amortize across every writer that arrives meanwhile.
+//!   makes the first waiter of a window that finds no leader at work its
+//!   leader. Every other ticket parks on a condvar and wakes with the
+//!   leader's verdict. [`WalShared::lead`] is the only function that takes a
+//!   window, and it has three steps:
 //!
+//!   1. **Elect.** The leader marks itself; until its window's verdict is
+//!      posted nobody else is elected — a leader still asleep in step 2 can
+//!      only be relieved of the window it holds open, see "Who closes".
+//!   2. **Linger.** The window stays *open* — stagers still land in it, its
+//!      other tickets park as ever — while the writers the last verdict
+//!      released come back. A closed-loop writer stages its next commit a
+//!      moment after that verdict wakes it; a leader that shut the window
+//!      in the same instant would leave the whole returning herd to sit out
+//!      the sync it just started before their own could begin. The linger
+//!      ends when all of the herd but one is back or at a bound that is a
+//!      fraction of the store's last sync, whichever is first. See below
+//!      for when it is skipped — which is most of the time.
+//!   3. **Close.** **Seal** everything staged as one WAL batch, bump
+//!      **meta**, perform the single `store.sync()`, then — if the window
+//!      carried covered commits — call the **cover** once with their count,
+//!      and only then post the **verdict**. No ticket of a window reads `Ok`
+//!      before a cover issued *after that window's sync* has returned `Ok`;
+//!      a failed sync or a failed cover fails every ticket of the window
+//!      alike. Commits staged after the close land in the *next* window, so
+//!      the sync (and the cover) amortize across every writer that arrives
+//!      meanwhile.
+//!
+//! ### When a leader lingers
+//! Everything the rule needs is measured by the windows themselves, under
+//! the window mutex; nothing is configured.
+//!
+//! * **The herd** — the writers a verdict released: the tickets that were
+//!   parked on its window when it was posted, plus the leader that posted
+//!   it. A lone committer ([`Db::commit`], a replication follower's single
+//!   sender thread redeeming the tickets it staged, [`Db::checkpoint`]'s
+//!   drain) finds nobody parked, is no herd and **never** lingers: a solo
+//!   commit still pays exactly one sync.
+//! * **The return** — how many commits were staged after that verdict and
+//!   no later than the bound. A lingering window closes the moment this
+//!   reaches the herd **less one**; the timeout only bounds it. The last of
+//!   N to come back is the slowest of N: waiting for it holds the other
+//!   N − 1 for one commit more, and leaves every writer parked on the same
+//!   window for the whole sync. It stages into the next window instead, is
+//!   parked there when the verdict is posted and so elected on the spot.
+//!   Measured on `perf_bench`'s `push_r1_dev` (eight workers, sixteen
+//!   requests in flight, half of them mutations): waiting for all eight
+//!   fills windows to 7.96 for 11.6 k ops/s, and then half of the reads —
+//!   50.2 to 51.6 % — find a worker free, so that their *median* is 0.2 ms
+//!   in one run and 1.1 ms in the next; waiting for seven fills windows to
+//!   7.03 for 10.6 k ops/s (7.5 k with no linger), 44 % of the reads find a
+//!   worker free and the median was 1.12–1.16 ms in 25 runs of 25.
+//! * **Who closes** — the first thread to see, under the mutex, that the
+//!   herd is back: as a rule the writer that brought it back, in its own
+//!   [`CommitTicket::wait`] a moment after it staged. It is running; the
+//!   lingering leader is asleep and would have to be scheduled first, and
+//!   on a busy machine that takes long enough for the straggler to slip in
+//!   every other window — the fill then follows the scheduler (7.5 measured)
+//!   instead of the rule. The sleeping leader is signalled all the same (a
+//!   ticket may be redeemed late, or never); if it finds its window closed
+//!   over it, it parks on that verdict like the window's other tickets.
+//! * **The bound** — [`LINGER_FRACTION`] of the time the store's last
+//!   successful `sync` took, counted from the verdict (not from the
+//!   election, so an arrival long after the last verdict never waits). On a
+//!   store whose `sync` is free the bound has passed before any leader can
+//!   be elected, so such a store never lingers by construction.
+//! * **The evidence** — the returns are counted after *every* verdict,
+//!   whether or not anyone lingered, and smoothed; a leader lingers only
+//!   while at least five eighths of the recent herds were seen back inside
+//!   the bound. Writers that go elsewhere after their verdict (a
+//!   replication primary's wait for follower receipts) stop the lingering
+//!   within a few windows and it costs them nothing thereafter. The count
+//!   is passive — any commit staged inside the bound counts, whoever staged
+//!   it — so the bar sits between what the two kinds of traffic were
+//!   measured to score: eight closed-loop writers are above five eighths at
+//!   96 % of their elections, a replication primary (whose only "returns"
+//!   are bursts released by follower receipts that happen to land behind a
+//!   verdict) at 2 %; at one half it was 99 % against 12 %.
+//!
+//! What an acknowledgement means is untouched: a window is one sealed blob
+//! whether or not it lingered, and its verdict follows its own sync and
+//! cover.
+//!
+//! ### Recovery and failure
 //! Crash recovery lands on a committed-window boundary: a window's ops are
 //! one sealed WAL blob written before the meta bump, so either the whole
 //! window replays or none of it does — never a tear inside a window. A
 //! window whose cover failed is durable and visible all the same; it is
-//! merely never acknowledged.
+//! merely never acknowledged. A leader that *unwinds* — the store or the
+//! cover panicked under it — fails its window through a scope guard
+//! (`Err("commit leader panicked")` to every ticket) and steps down, so the
+//! next window elects a leader as if the sync had returned an error.
 //!
-//! Lock order inside this crate: `window` before `wal`. The leader drops
-//! the window mutex before sealing/syncing under the `wal` mutex, and runs
-//! the cover under **neither**, so followers' condvar waits never hold the
-//! store hostage and a cover may take whatever locks its owner needs. The
-//! verdict is posted, and every waiter's predicate re-checked, under the
-//! `window` mutex, so a wakeup cannot be lost and the waits carry no timeout.
+//! ### Locks
+//! Lock order inside this crate: `window` before `wal`. The leader lingers
+//! holding only `window` (released while it sleeps), drops it before
+//! sealing/syncing under the `wal` mutex, and runs the cover under
+//! **neither**, so parked tickets never hold the store hostage and a cover
+//! may take whatever locks its owner needs. The verdict is posted, and
+//! every waiter's predicate re-checked, under the `window` mutex, so a
+//! wakeup cannot be lost and the ticket waits carry no timeout; the linger
+//! has its own condvar on the same mutex, so a stager wakes the one
+//! lingering leader rather than every parked ticket. Closing a window —
+//! taking what is staged and bumping the epoch — happens in one hold of the
+//! `window` mutex inside [`WalShared::lead`], whoever runs it, so a window
+//! is closed exactly once. Both mutexes are recovered when poisoned, see
+//! [`WalShared::window`].
 
 use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::ops::ControlFlow;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use palaemon_crypto::aead::AeadKey;
 use palaemon_crypto::wire::{Decoder, Encoder};
@@ -76,6 +160,23 @@ const META_BLOB: &str = "db-meta";
 
 /// Window-failure verdicts retained for late [`CommitTicket::wait`] calls.
 const FAILURE_MEMORY: usize = 64;
+
+/// A leader holds its window open for the returning herd no longer than the
+/// store's last successful `sync` divided by this, counted from the verdict
+/// that released the herd.
+///
+/// Derivation: traced on a device whose sync takes 1.08 ms under eight
+/// closed-loop workers (`perf_bench`'s `push_r1_dev`, leaders closing at
+/// once), 80 % of mutations entered their request inside a *foreign*
+/// window's sync, a median 5 % and a 90th percentile 12 % of that sync after
+/// it began (≈ 55 and 130 µs) — that is how late a released writer is back.
+/// A quarter covers that tail with room for a descheduled thread and for
+/// the timer's own overshoot, and caps the worst case — a herd that was
+/// expected and did not come — at a quarter of a sync. Swept on that
+/// workload, dividing by 3, 4, 5, 6, 8 and 12 gave 10.9, 11.4, 11.5, 11.0,
+/// 10.5 and 8.5 k ops/s (7.4 k without lingering): flat from a quarter to a
+/// fifth, falling off once the bound cuts into the arrival tail.
+const LINGER_FRACTION: u32 = 4;
 
 /// What covers a window's commits before any of them is acknowledged — in
 /// PALÆMON, the Fig. 6 rollback-counter increment. The window's leader calls
@@ -262,8 +363,7 @@ struct WalCore {
 /// The currently open group-commit window plus flush bookkeeping.
 #[derive(Default)]
 struct WindowState {
-    /// WAL-encoded ops staged by committers since the last leader took the
-    /// window.
+    /// WAL-encoded ops staged by committers since the last close.
     staged_buf: Vec<u8>,
     staged_count: u32,
     /// Commits (tickets) staged into the open window.
@@ -271,13 +371,34 @@ struct WindowState {
     /// The cover the open window owes, and how many of its commits were
     /// staged covered (`None`: none were, the leader calls nothing).
     staged_cover: Option<(CommitCover, u32)>,
-    /// Index of the open window. A leader taking the window bumps this, so
+    /// Index of the open window. A leader closing the window bumps this, so
     /// late stagers land in the next window while the sync runs.
     epoch: u64,
     /// Windows `< flushed` have a durability verdict.
     flushed: u64,
-    /// A leader is between taking the window and posting its verdict.
+    /// A leader is elected and has not posted its verdict: it lingers on the
+    /// open window (`flushed == epoch`) or flushes the one it closed
+    /// (`flushed + 1 == epoch`).
     leader_running: bool,
+    /// Tickets parked on the open window, and on the closed window in
+    /// flight. No older window has any: it has a verdict.
+    parked_open: u32,
+    parked_closed: u32,
+    /// The herd: the writers the last verdict released — the tickets it
+    /// found parked plus the leader that posted it; 0 when nobody was parked.
+    herd: u32,
+    /// Commits staged since that verdict and no later than `return_by`,
+    /// counted up to `herd`.
+    returned: u32,
+    /// The last verdict's instant plus the linger bound (`None` before the
+    /// first verdict).
+    return_by: Option<Instant>,
+    /// How long the store's last successful `sync` took.
+    last_sync: Duration,
+    /// Share of the recent herds seen back by their `return_by`, smoothed
+    /// (each verdict folds one observation in at weight ¼), in 1/1024ths.
+    /// Leaders linger from 640 (⅝) up.
+    return_score: u32,
     /// Failed windows (bounded memory; see [`FAILURE_MEMORY`]).
     failures: Vec<(u64, DbError)>,
     /// Highest failed epoch evicted from `failures`: no window at or below
@@ -289,9 +410,32 @@ struct WindowState {
     checkpoints: u64,
     /// `commits per window -> windows seen` histogram.
     per_window: BTreeMap<u32, u64>,
+    /// Windows whose leader actually slept in the linger. Tests only: the
+    /// fill it buys is already exported as `db_commits_per_window{size}`.
+    #[cfg(test)]
+    lingers: u64,
 }
 
 impl WindowState {
+    /// The elected leader is asleep in its linger — seen from under the
+    /// window mutex, which a leader between election and close gives up
+    /// nowhere else.
+    fn lingering(&self) -> bool {
+        self.leader_running && self.flushed == self.epoch
+    }
+
+    /// How many of the herd a lingering window waits for: all but one. See
+    /// the module docs, "When a leader lingers".
+    fn close_at(&self) -> u32 {
+        self.herd.saturating_sub(1)
+    }
+
+    /// A leader lingers on a window whose herd is back: the window is due to
+    /// close, and the first thread to see that under the mutex closes it.
+    fn herd_is_back(&self) -> bool {
+        self.lingering() && self.returned >= self.close_at()
+    }
+
     /// The verdict of flushed window `epoch`. Conservative once failures
     /// have been evicted: an epoch old enough to have been one of them reads
     /// `Err` (a forgotten success may too — never a failure as `Ok`).
@@ -318,10 +462,29 @@ impl WindowState {
 /// and by every outstanding [`CommitTicket`].
 struct WalShared {
     window: Mutex<WindowState>,
+    /// Parked tickets (and `checkpoint`'s drain) wait here for a verdict.
     window_cv: Condvar,
+    /// The one lingering leader waits here for the herd's last stager.
+    linger_cv: Condvar,
     wal: Mutex<WalCore>,
     /// Committer park times, for `group_commit_wait_p99`.
     wait_hist: palaemon_telemetry::Histogram,
+}
+
+/// Fails window `epoch` if its leader unwinds between closing it and posting
+/// its verdict (the store or the cover panicked): neither mutex is held
+/// there, so nothing else would ever clear `leader_running` or wake the
+/// parked tickets, of this window or of any later one.
+struct FailOnUnwind<'a> {
+    shared: &'a WalShared,
+    epoch: u64,
+}
+
+impl Drop for FailOnUnwind<'_> {
+    fn drop(&mut self) {
+        let verdict = Err(DbError::Storage("commit leader panicked".into()));
+        self.shared.post(self.epoch, 0, &verdict);
+    }
 }
 
 impl WalShared {
@@ -329,52 +492,156 @@ impl WalShared {
         Arc::new(WalShared {
             window: Mutex::new(WindowState::default()),
             window_cv: Condvar::new(),
+            linger_cv: Condvar::new(),
             wal: Mutex::new(WalCore { store, key, meta }),
             wait_hist: palaemon_telemetry::Histogram::new(),
         })
     }
 
-    /// Takes the open window (caller observed `!leader_running`), seals and
-    /// flushes everything staged in it, covers its covered commits, posts
-    /// the verdict and wakes the followers. Returns that verdict.
-    fn lead(&self, mut st: MutexGuard<'_, WindowState>) -> Result<(), DbError> {
-        debug_assert!(!st.leader_running);
+    /// The window mutex. Lock-poison policy of this crate, stated once for
+    /// this and [`WalShared::wal`]: a poisoned lock is **recovered**, not
+    /// propagated. Every critical section leaves its state valid at each
+    /// step — `window` sections are plain field updates; a `wal` section
+    /// that unwinds out of the store leaves at worst a WAL blob beyond
+    /// `next_seq` (invisible, like a torn write) or an in-memory `meta` one
+    /// ahead of the stored one over a blob that was written (the next flush
+    /// stores it, exactly as after a failed `sync`) — and the window that
+    /// was in flight is failed by [`FailOnUnwind`]. Propagating would turn
+    /// one panicking store call into a panic in every later committer.
+    fn window(&self) -> MutexGuard<'_, WindowState> {
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The flush mutex; poison is recovered, see [`WalShared::window`].
+    fn wal(&self) -> MutexGuard<'_, WalCore> {
+        self.wal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parks on `window_cv` until the next verdict is posted.
+    fn park<'a>(&self, st: MutexGuard<'a, WindowState>) -> MutexGuard<'a, WindowState> {
+        self.window_cv
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Leads the open window (caller observed no leader, or one lingering
+    /// on a herd that [is back](WindowState::herd_is_back)): elect, linger,
+    /// close — see the module docs. Seals and flushes everything staged by
+    /// the close, covers its covered commits, posts the verdict and wakes
+    /// the parked tickets. Breaks with that verdict — or continues, lock in
+    /// hand, when another thread closed the window over this one's linger:
+    /// the caller is then one more waiter on that thread's verdict.
+    fn lead<'a>(
+        &self,
+        mut st: MutexGuard<'a, WindowState>,
+    ) -> ControlFlow<Result<(), DbError>, MutexGuard<'a, WindowState>> {
+        debug_assert!(!st.leader_running || st.herd_is_back());
+        st.leader_running = true;
+        let open = st.epoch;
+        st = self.linger(st);
+        if st.epoch != open {
+            return ControlFlow::Continue(st);
+        }
+
         let buf = std::mem::take(&mut st.staged_buf);
         let count = std::mem::replace(&mut st.staged_count, 0);
         let commits = std::mem::replace(&mut st.staged_commits, 0);
         let cover = st.staged_cover.take();
         let epoch = st.epoch;
         st.epoch += 1;
-        st.leader_running = true;
+        st.parked_closed = std::mem::take(&mut st.parked_open);
         drop(st);
 
         // Persist first, then cover, then acknowledge (Fig. 6): the cover is
         // issued only after this window's sync, under neither mutex.
-        let result = self.flush(&buf, count).and_then(|()| match cover {
-            Some((cover, covered)) => cover(covered),
-            None => Ok(()),
+        let unwind = FailOnUnwind {
+            shared: self,
+            epoch,
+        };
+        let result = self.flush(&buf, count).and_then(|synced| {
+            if let Some((cover, covered)) = cover {
+                cover(covered)?;
+            }
+            Ok(synced)
         });
+        std::mem::forget(unwind);
+        self.post(epoch, commits, &result);
+        ControlFlow::Break(result.map(drop))
+    }
 
-        let mut st = self.window.lock().unwrap();
+    /// The linger step of [`WalShared::lead`]: sleeps, window open, until
+    /// the herd the last verdict released is back, `return_by` passes, or
+    /// another thread has closed the window meanwhile. Returns at once —
+    /// the common case — when that verdict released nobody, when recent
+    /// herds were not seen to come back in time, or when the bound has
+    /// already passed.
+    fn linger<'a>(&self, mut st: MutexGuard<'a, WindowState>) -> MutexGuard<'a, WindowState> {
+        let Some(return_by) = st.return_by else {
+            return st;
+        };
+        if st.return_score < 640 {
+            return st;
+        }
+        #[cfg(test)]
+        let mut slept = false;
+        let open = st.epoch;
+        while st.epoch == open && st.returned < st.close_at() {
+            let left = return_by.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            #[cfg(test)]
+            if !std::mem::replace(&mut slept, true) {
+                st.lingers += 1;
+            }
+            st = self
+                .linger_cv
+                .wait_timeout(st, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        st
+    }
+
+    /// Posts window `epoch`'s verdict and wakes everyone parked: the leader
+    /// steps down, the window's tickets read `result`, the next window's
+    /// elect a leader. `result` carries how long the window's `sync` took.
+    fn post(&self, epoch: u64, commits: u32, result: &Result<Duration, DbError>) {
+        let mut st = self.window();
         st.leader_running = false;
         st.flushed = epoch + 1;
-        match &result {
-            Ok(()) => {
+        match result {
+            Ok(synced) => {
                 st.commits += u64::from(commits);
                 st.wal_windows += 1;
                 *st.per_window.entry(commits).or_insert(0) += 1;
+                st.last_sync = *synced;
             }
             Err(err) => st.note_failure(epoch, err.clone()),
         }
+        // Fold in what the previous verdict's herd was seen to do (its
+        // bound, a fraction of one sync, passed during this window's sync),
+        // then start watching the herd this verdict releases.
+        if let Some(share) = (1024 * st.returned).checked_div(st.herd) {
+            st.return_score = (3 * st.return_score + share) / 4;
+        }
+        // The leader was not parked, but with company it is one more writer
+        // on its way back; alone it is a lone committer, and no herd.
+        st.herd = match std::mem::take(&mut st.parked_closed) {
+            0 => 0,
+            parked => parked + 1,
+        };
+        st.returned = 0;
+        st.return_by = Some(Instant::now() + st.last_sync / LINGER_FRACTION);
         drop(st);
         self.window_cv.notify_all();
-        result
     }
 
     /// Seals `count` staged ops as the next WAL batch, bumps meta and syncs
-    /// — the one expensive step per window.
-    fn flush(&self, buf: &[u8], count: u32) -> Result<(), DbError> {
-        let mut wal = self.wal.lock().unwrap();
+    /// — the one expensive step per window. Returns how long the `sync`
+    /// took: the device wait a window amortizes, which bounds the linger.
+    fn flush(&self, buf: &[u8], count: u32) -> Result<Duration, DbError> {
+        let mut wal = self.wal();
         let seq = wal.meta.next_seq;
         let mut header = Encoder::new();
         header.put_u32(count);
@@ -389,9 +656,11 @@ impl WalShared {
         wal.meta.next_seq += 1;
         let meta = wal.meta.encode();
         wal.store.put(META_BLOB, meta);
+        let begun = Instant::now();
         wal.store
             .sync()
-            .map_err(|e| DbError::Storage(e.to_string()))
+            .map_err(|e| DbError::Storage(e.to_string()))?;
+        Ok(begun.elapsed())
     }
 }
 
@@ -415,19 +684,23 @@ impl fmt::Debug for CommitTicket {
 
 impl CommitTicket {
     /// Blocks until the staged window is durable (or failed) and returns
-    /// the verdict. One waiter per window is elected leader and performs
-    /// the single seal + sync for everything staged; the rest park on the
-    /// window condvar.
+    /// the verdict. The first waiter of a window to find no leader at work
+    /// leads it ([`WalShared::lead`]: it may hold the window open briefly
+    /// for a returning herd, then performs the single seal + sync + cover
+    /// for everything staged); the rest park on the window condvar — but
+    /// for one that finds the leader still asleep over a herd that is back:
+    /// it closes the window in the sleeper's stead.
     ///
     /// # Errors
-    /// Propagates the leader's storage failure to every commit in the
-    /// window.
+    /// Propagates the leader's storage or cover failure to every commit in
+    /// the window.
     pub fn wait(self) -> Result<(), DbError> {
         let Some((shared, epoch)) = self.inner else {
             return Ok(());
         };
         let start = Instant::now();
-        let mut st = shared.window.lock().unwrap();
+        let mut st = shared.window();
+        let mut parked = false;
         loop {
             if st.flushed > epoch {
                 let verdict = st.verdict(epoch);
@@ -435,14 +708,35 @@ impl CommitTicket {
                 shared.wait_hist.record(start.elapsed().as_nanos() as u64);
                 return verdict;
             }
-            if st.epoch == epoch && !st.leader_running {
-                let result = shared.lead(st);
-                shared.wait_hist.record(start.elapsed().as_nanos() as u64);
-                return result;
+            if st.epoch == epoch && (!st.leader_running || st.herd_is_back()) {
+                // A ticket that parked before it was elected is no longer
+                // among the parked its verdict will find.
+                st.parked_open -= u32::from(std::mem::take(&mut parked));
+                match shared.lead(st) {
+                    ControlFlow::Break(result) => {
+                        shared.wait_hist.record(start.elapsed().as_nanos() as u64);
+                        return result;
+                    }
+                    // Its window was closed over its linger: it parks on
+                    // that leader's verdict like any other ticket.
+                    ControlFlow::Continue(guard) => {
+                        st = guard;
+                        continue;
+                    }
+                }
             }
-            // Follower: park until a leader posts a verdict (posted, like
-            // this predicate is checked, under the window mutex).
-            st = shared.window_cv.wait(st).unwrap();
+            // Park until a leader posts a verdict (posted, like this
+            // predicate is checked, under the window mutex), counted once
+            // among those its window's verdict will release.
+            if !parked {
+                parked = true;
+                if st.epoch == epoch {
+                    st.parked_open += 1;
+                } else {
+                    st.parked_closed += 1;
+                }
+            }
+            st = shared.park(st);
         }
     }
 }
@@ -545,7 +839,7 @@ impl Db {
             capture: None,
         };
         {
-            let wal = db.shared.wal.lock().unwrap();
+            let wal = db.shared.wal();
             let plain = encode_tree(&db.tree);
             let sealed = wal.key.seal(b"snap.0", &plain, b"db-snap.0");
             wal.store.put(&snapshot_blob(0), sealed);
@@ -737,7 +1031,7 @@ impl Db {
         if self.pending_count == 0 {
             return CommitTicket { inner: None };
         }
-        let mut st = self.shared.window.lock().unwrap();
+        let mut st = self.shared.window();
         st.staged_buf.append(&mut self.pending_buf);
         st.staged_count += self.pending_count;
         st.staged_commits += 1;
@@ -746,8 +1040,22 @@ impl Db {
                 .get_or_insert_with(|| (Arc::clone(cover), 0))
                 .1 += 1;
         }
+        // A commit staged this soon after the last verdict counts as one of
+        // the writers it released coming back: the evidence a later leader
+        // lingers on, and — when it brings the herd back — the end of the
+        // lingering one's wait. This commit's own `wait` closes the window
+        // if it gets there first; the signal covers a ticket that is
+        // redeemed late or never.
+        let mut herd_is_back = false;
+        if st.returned < st.herd && st.return_by.is_some_and(|by| Instant::now() <= by) {
+            st.returned += 1;
+            herd_is_back = st.lingering() && st.returned == st.close_at();
+        }
         let epoch = st.epoch;
         drop(st);
+        if herd_is_back {
+            self.shared.linger_cv.notify_one();
+        }
         self.pending_count = 0;
         CommitTicket {
             inner: Some((Arc::clone(&self.shared), epoch)),
@@ -774,21 +1082,24 @@ impl Db {
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
         self.commit()?;
         // Drain: `&mut self` means no new ops can stage, but a concurrent
-        // ticket's leader may be mid-flush, and dropped tickets may have
-        // left staged ops behind. Flush until the window is empty and idle.
+        // ticket's leader may be lingering or mid-flush, and dropped tickets
+        // may have left staged ops behind. Flush until the window is empty
+        // and idle.
         loop {
-            let st = self.shared.window.lock().unwrap();
+            let st = self.shared.window();
             if st.leader_running {
-                drop(self.shared.window_cv.wait(st).unwrap());
+                drop(self.shared.park(st));
                 continue;
             }
             if st.staged_count == 0 {
                 break;
             }
-            self.shared.lead(st)?;
+            if let ControlFlow::Break(verdict) = self.shared.lead(st) {
+                verdict?;
+            }
         }
 
-        let mut wal = self.shared.wal.lock().unwrap();
+        let mut wal = self.shared.wal();
         let generation = wal.meta.generation + 1;
         let plain = encode_tree(&self.tree);
         let sealed = wal.key.seal(
@@ -821,14 +1132,14 @@ impl Db {
             .sync()
             .map_err(|e| DbError::Storage(e.to_string()))?;
         drop(wal);
-        self.shared.window.lock().unwrap().checkpoints += 1;
+        self.shared.window().checkpoints += 1;
         Ok(())
     }
 
     /// Runtime statistics.
     pub fn stats(&self) -> DbStats {
         let (commits, checkpoints, wal_windows, per_window) = {
-            let st = self.shared.window.lock().unwrap();
+            let st = self.shared.window();
             (
                 st.commits,
                 st.checkpoints,
@@ -837,7 +1148,7 @@ impl Db {
             )
         };
         let wal_batches = {
-            let wal = self.shared.wal.lock().unwrap();
+            let wal = self.shared.wal();
             wal.meta.next_seq - wal.meta.first_seq
         };
         DbStats {
@@ -1411,11 +1722,12 @@ mod tests {
         );
     }
 
-    /// A store whose sync is slow enough that concurrent committers pile
-    /// into the next window while the leader flushes.
-    struct SlowSync(MemStore);
+    /// A modelled device: `sync` takes the given wall time, long enough that
+    /// concurrent committers pile into the next window while a leader
+    /// flushes — and long enough to bound a linger.
+    struct SlowSync<S>(S, Duration);
 
-    impl BlockStore for SlowSync {
+    impl<S: BlockStore> BlockStore for SlowSync<S> {
         fn get(&self, name: &str) -> Option<Vec<u8>> {
             self.0.get(name)
         }
@@ -1429,38 +1741,17 @@ mod tests {
             self.0.list()
         }
         fn sync(&self) -> shielded_fs::Result<()> {
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::sleep(self.1);
             self.0.sync()
         }
     }
 
     #[test]
     fn concurrent_commits_coalesce_into_windows() {
-        use std::sync::Mutex as StdMutex;
-        let inner = MemStore::new();
-        let db = Arc::new(StdMutex::new(
-            Db::create(Box::new(SlowSync(inner.clone())), key()).unwrap(),
-        ));
         const WRITERS: usize = 8;
         const PER_WRITER: usize = 20;
-        let workers: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let db = Arc::clone(&db);
-                std::thread::spawn(move || {
-                    for i in 0..PER_WRITER {
-                        let ticket = {
-                            let mut db = db.lock().unwrap();
-                            db.put(format!("w{w}/k{i}").into_bytes(), vec![w as u8]);
-                            db.commit_stage()
-                        };
-                        ticket.wait().unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
+        let (inner, db) = slow_db(Duration::from_micros(500));
+        closed_loop(&db, "w", WRITERS, PER_WRITER, |_| {});
         let db = Arc::try_unwrap(db).ok().unwrap().into_inner().unwrap();
         let s = db.stats();
         assert_eq!(s.commits, (WRITERS * PER_WRITER) as u64);
@@ -1690,6 +1981,422 @@ mod tests {
         for k in [b"covered".as_slice(), b"rider", b"next"] {
             assert!(db2.get(k).is_some(), "{} lost", String::from_utf8_lossy(k));
         }
+    }
+
+    /// A `Db` on a [`SlowSync`] device, behind the mutex that stands in for
+    /// the engine's write lock.
+    fn slow_db(sync: Duration) -> (MemStore, Arc<Mutex<Db>>) {
+        let inner = MemStore::new();
+        let db = Db::create(Box::new(SlowSync(inner.clone(), sync)), key()).unwrap();
+        (inner, Arc::new(Mutex::new(db)))
+    }
+
+    /// `writers` closed-loop threads: each stages a one-key commit under the
+    /// lock, redeems it outside, runs `detour(writer)` and goes again —
+    /// `per_writer` times.
+    fn closed_loop(
+        db: &Mutex<Db>,
+        tag: &str,
+        writers: usize,
+        per_writer: usize,
+        detour: impl Fn(usize) + Sync,
+    ) {
+        std::thread::scope(|scope| {
+            for w in 0..writers {
+                let detour = &detour;
+                scope.spawn(move || {
+                    for i in 0..per_writer {
+                        let ticket = {
+                            let mut db = db.lock().unwrap();
+                            db.put(format!("{tag}/w{w}/k{i}").into_bytes(), vec![w as u8]);
+                            db.commit_stage()
+                        };
+                        ticket.wait().unwrap();
+                        detour(w);
+                    }
+                });
+            }
+        });
+    }
+
+    fn lingers(db: &Mutex<Db>) -> u64 {
+        db.lock().unwrap().shared.window().lingers
+    }
+
+    /// Makes the next leader linger: a herd of `herd` was released just
+    /// now, herds have been coming back, and they have until `bound` from
+    /// now. (The state a closed loop reaches by itself within a few windows;
+    /// set directly so a test can act *during* the linger it causes.)
+    fn expect_a_herd(db: &Db, herd: u32, bound: Duration) {
+        let mut st = db.shared.window();
+        st.herd = herd;
+        st.returned = 0;
+        st.return_score = 1024;
+        st.return_by = Some(Instant::now() + bound);
+    }
+
+    /// Spins (no sleep: the linger under test is what takes time) until a
+    /// leader is asleep in its linger.
+    fn until_a_leader_lingers(db: &Db) {
+        while !db.shared.window().lingering() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_released_herd_joins_the_next_window() {
+        // Eight closed-loop writers: every verdict releases its window's,
+        // and they are back a moment later. A leader that closed the next
+        // window at once would split them into two alternating cohorts of
+        // four, each sitting out the other's sync; one that waits for all
+        // but the last of them keeps seven to a window, and the eighth
+        // parked on the next.
+        let (inner, db) = slow_db(Duration::from_millis(2));
+        closed_loop(&db, "a", 8, 30, |_| {});
+        let s = db.lock().unwrap().stats();
+        assert_eq!(s.commits, 240);
+        let full: u64 = s
+            .commits_per_window
+            .iter()
+            .filter(|&&(size, _)| size >= 7)
+            .map(|&(size, count)| u64::from(size) * count)
+            .sum();
+        assert!(
+            full * 3 >= s.commits * 2,
+            "past the first windows a window holds the herd: {:?}",
+            s.commits_per_window
+        );
+        assert!(
+            s.wal_windows <= 46,
+            "240 commits in {} windows",
+            s.wal_windows
+        );
+        assert!(lingers(&db) > 0);
+        drop(db);
+        assert_eq!(Db::open(Box::new(inner), key()).unwrap().len(), 240);
+    }
+
+    #[test]
+    fn a_lone_committer_never_lingers() {
+        let (_, db) = slow_db(Duration::from_micros(500));
+        let mut db = Arc::try_unwrap(db).ok().unwrap().into_inner().unwrap();
+        // Db::commit: stage + wait, nobody else parked.
+        for i in 0..50u32 {
+            db.put(format!("solo/{i}").into_bytes(), b"v".as_slice());
+            db.commit().unwrap();
+        }
+        // A replication follower's sender: one thread stages a shipped
+        // batch's K commits, then redeems the K tickets — one window.
+        for round in 0..10u32 {
+            let tickets: Vec<_> = (0..4u32)
+                .map(|i| {
+                    db.put(format!("batch/{round}/{i}").into_bytes(), b"v".as_slice());
+                    db.commit_stage()
+                })
+                .collect();
+            for ticket in tickets {
+                ticket.wait().unwrap();
+            }
+        }
+        let s = db.stats();
+        assert_eq!(s.commits_per_window, vec![(1, 50), (4, 10)]);
+        assert_eq!(db.shared.window().lingers, 0);
+        assert_eq!(db.shared.window().herd, 0, "nobody was ever parked");
+    }
+
+    #[test]
+    fn an_arrival_long_after_the_last_verdict_never_lingers() {
+        // Leaders have learned to linger and the last verdict released a
+        // herd — but its bound has run out: an open-loop arrival, one that
+        // verdict did not trigger, must not pay for what a closed loop taught.
+        let (_, db) = slow_db(Duration::from_micros(500));
+        let mut db = Arc::try_unwrap(db).ok().unwrap().into_inner().unwrap();
+        expect_a_herd(&db, 8, Duration::ZERO);
+        db.put(b"late".as_slice(), b"v".as_slice());
+        db.commit().unwrap();
+        assert_eq!(db.shared.window().lingers, 0);
+    }
+
+    #[test]
+    fn a_store_whose_sync_is_free_never_lingers() {
+        // Parked tickets and returning herds aplenty, but a quarter of a
+        // MemStore sync has passed before any leader can be elected.
+        let store = MemStore::new();
+        let db = Mutex::new(Db::create(Box::new(store), key()).unwrap());
+        closed_loop(&db, "mem", 8, 200, |_| {});
+        assert_eq!(db.lock().unwrap().stats().commits, 1600);
+        assert_eq!(lingers(&db), 0);
+    }
+
+    #[test]
+    fn a_herd_that_does_not_come_back_stops_the_lingering() {
+        let sync = Duration::from_millis(2);
+        let (_, db) = slow_db(sync);
+        // Phase 1: the herd returns at once, so leaders learn to linger.
+        closed_loop(&db, "home", 4, 15, |_| {});
+        let learned = lingers(&db);
+        assert!(learned > 0, "a closed loop must have lingered");
+        // Phase 2, the replication primary's shape: after each verdict a
+        // writer waits out a receipt from elsewhere — a commit on a device
+        // of its own, one and a half syncs long, so it is back half a sync
+        // after some verdict: later than the bound, before the next one.
+        let elsewhere: Vec<_> = (0..4).map(|_| slow_db(sync * 3 / 2).1).collect();
+        let before = db.lock().unwrap().stats().wal_windows;
+        closed_loop(&db, "away", 4, 60, |w| {
+            let mut other = elsewhere[w].lock().unwrap();
+            other.put(b"receipt".as_slice(), b"v".as_slice());
+            other.commit().unwrap();
+        });
+        let windows = db.lock().unwrap().stats().wal_windows - before;
+        assert!(windows >= 100, "{windows} windows");
+        let wasted = lingers(&db) - learned;
+        assert!(
+            wasted < 10,
+            "{wasted} lingers over {windows} windows for a herd that never came"
+        );
+    }
+
+    #[test]
+    fn a_ticket_dropped_during_a_linger_lands_in_that_window() {
+        let (inner, db) = slow_db(Duration::from_micros(500));
+        let mut db = Arc::try_unwrap(db).ok().unwrap().into_inner().unwrap();
+        expect_a_herd(&db, 4, Duration::from_secs(30));
+        db.put(b"leader".as_slice(), b"1".as_slice());
+        let ticket = db.commit_stage();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || ticket.wait());
+            until_a_leader_lingers(&db);
+            // Staged while the leader holds the window open, never
+            // redeemed: the orphan rides the window all the same, and the
+            // second one is the third of a herd of four, which ends the
+            // linger.
+            for orphan in [b"orphan-1".as_slice(), b"orphan-2"] {
+                db.put(orphan, b"2".as_slice());
+                drop(db.commit_stage());
+            }
+            leader.join().unwrap().unwrap();
+        });
+        let s = db.stats();
+        assert_eq!(s.commits_per_window, vec![(3, 1)], "one window, all three");
+        assert_eq!(db.shared.window().lingers, 1);
+        drop(db);
+        let db2 = Db::open(Box::new(inner), key()).unwrap();
+        assert_eq!(db2.len(), 3);
+    }
+
+    #[test]
+    fn the_last_of_the_herd_is_not_waited_for() {
+        // A herd of three is expected and has half a minute: the window
+        // closes when the second is back, whoever gets to close it — the
+        // writer that brought it back, in its own `wait`, or the lingering
+        // leader it signalled — and both read that one window's verdict.
+        let (_, db) = slow_db(Duration::from_micros(500));
+        let mut db = Arc::try_unwrap(db).ok().unwrap().into_inner().unwrap();
+        expect_a_herd(&db, 3, Duration::from_secs(30));
+        db.put(b"first".as_slice(), b"1".as_slice());
+        let ticket = db.commit_stage();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(move || ticket.wait());
+            until_a_leader_lingers(&db);
+            db.put(b"second".as_slice(), b"2".as_slice());
+            db.commit().unwrap();
+            leader.join().unwrap().unwrap();
+        });
+        assert_eq!(db.stats().commits_per_window, vec![(2, 1)]);
+        assert_eq!(db.shared.window().lingers, 1);
+        assert!(!db.shared.window().leader_running);
+    }
+
+    #[test]
+    fn a_checkpoint_waits_out_a_lingering_leader() {
+        let log = Arc::new(Mutex::new(Vec::<String>::new()));
+        let inner = MemStore::new();
+        let mut db =
+            Db::create(Box::new(LoggedSync(inner.clone(), Arc::clone(&log))), key()).unwrap();
+        // With something of its own to commit, the checkpoint joins the
+        // lingering window (and here is the second of a herd of three: it
+        // closes the window over the sleeping leader) …
+        for (pending, bound) in [(true, Duration::from_secs(30)), (false, Duration::ZERO)] {
+            // … with nothing, it parks until the linger runs out by itself:
+            // `&mut self` keeps every other stager away, so only the bound
+            // ends it.
+            let bound = bound.max(Duration::from_millis(20));
+            expect_a_herd(&db, 3, bound);
+            db.put(format!("lingering/{pending}").into_bytes(), b"1".as_slice());
+            let ticket = db.commit_stage();
+            log.lock().unwrap().clear();
+            std::thread::scope(|scope| {
+                let leader = scope.spawn(move || ticket.wait());
+                until_a_leader_lingers(&db);
+                if pending {
+                    db.put(b"own".as_slice(), b"2".as_slice());
+                }
+                db.checkpoint().unwrap();
+                leader.join().unwrap().unwrap();
+            });
+            // The lingering window was flushed — one sync — before the
+            // snapshot's two, and nothing of it is left in the WAL: the
+            // snapshot did not run past an unflushed window.
+            assert_eq!(*log.lock().unwrap(), ["sync", "sync", "sync"]);
+            assert_eq!(db.stats().wal_batches, 0);
+        }
+        assert_eq!(db.stats().commits_per_window, vec![(1, 1), (2, 1)]);
+        drop(db);
+        let db2 = Db::open(Box::new(inner), key()).unwrap();
+        assert_eq!(db2.len(), 3);
+    }
+
+    #[test]
+    fn multi_writer_crash_sweep_on_a_slow_device_recovers_on_window_boundaries() {
+        // The sweep above stages both commits of a window from one thread,
+        // so no window of it ever lingers. Here four closed-loop writers on
+        // a slow device do, and the fuse burns at every op of that schedule.
+        const WRITERS: usize = 4;
+        const PER_WRITER: usize = 8;
+        let mut lingered = 0;
+        for fuse in 1..40 {
+            let inner = MemStore::new();
+            let buffered = BufferedStore::new(inner.clone());
+            let db = Mutex::new(
+                Db::create(
+                    Box::new(SlowSync(buffered.clone(), Duration::from_millis(1))),
+                    key(),
+                )
+                .unwrap(),
+            );
+            buffered.fail_after(fuse);
+            let acked: Vec<Vec<bool>> = std::thread::scope(|scope| {
+                let writers: Vec<_> = (0..WRITERS)
+                    .map(|w| {
+                        let db = &db;
+                        scope.spawn(move || {
+                            (0..PER_WRITER)
+                                .map(|i| {
+                                    let ticket = {
+                                        let mut db = db.lock().unwrap();
+                                        for half in ["a", "b"] {
+                                            db.put(
+                                                format!("w{w}/c{i}/{half}").into_bytes(),
+                                                b"v".as_slice(),
+                                            );
+                                        }
+                                        db.commit_stage()
+                                    };
+                                    ticket.wait().is_ok()
+                                })
+                                .collect()
+                        })
+                    })
+                    .collect();
+                writers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            lingered += lingers(&db);
+            drop(db);
+            buffered.crash();
+            let db2 = Db::open(Box::new(inner), key())
+                .unwrap_or_else(|e| panic!("crash recovery must not corrupt (fuse={fuse}): {e}"));
+            for (w, acked) in acked.iter().enumerate() {
+                let present: Vec<bool> = (0..PER_WRITER)
+                    .map(|i| {
+                        let a = db2.get(format!("w{w}/c{i}/a").as_bytes()).is_some();
+                        let b = db2.get(format!("w{w}/c{i}/b").as_bytes()).is_some();
+                        assert_eq!(a, b, "torn commit: w{w}/c{i}, fuse {fuse}");
+                        a
+                    })
+                    .collect();
+                for i in 0..PER_WRITER {
+                    assert!(
+                        present[i] || !acked[i],
+                        "acked commit lost: w{w}/c{i}, fuse {fuse}"
+                    );
+                }
+                // A writer's commits sit in successive windows and recovery
+                // keeps a prefix of the windows: so a prefix of its commits.
+                assert!(
+                    present.windows(2).all(|pair| pair[0] || !pair[1]),
+                    "recovery skipped a window: w{w} {present:?}, fuse {fuse}"
+                );
+            }
+        }
+        assert!(
+            lingered > 0,
+            "the sweep must have crossed lingering windows"
+        );
+    }
+
+    /// A store whose `sync` panics once, when armed.
+    struct PanickingSync(MemStore, Arc<std::sync::atomic::AtomicBool>);
+
+    impl BlockStore for PanickingSync {
+        fn get(&self, name: &str) -> Option<Vec<u8>> {
+            self.0.get(name)
+        }
+        fn put(&self, name: &str, data: Vec<u8>) {
+            self.0.put(name, data);
+        }
+        fn delete(&self, name: &str) {
+            self.0.delete(name);
+        }
+        fn list(&self) -> Vec<String> {
+            self.0.list()
+        }
+        fn sync(&self) -> shielded_fs::Result<()> {
+            if self.1.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("device driver bug");
+            }
+            self.0.sync()
+        }
+    }
+
+    #[test]
+    fn a_leader_that_panics_fails_its_window_and_wedges_nobody() {
+        let inner = MemStore::new();
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut db = Db::create(
+            Box::new(PanickingSync(inner.clone(), Arc::clone(&armed))),
+            key(),
+        )
+        .unwrap();
+        armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        // Three writers in one window; whichever leads, its sync panics.
+        let (verdicts, results) = std::sync::mpsc::channel();
+        let tickets: Vec<_> = (0..3u32)
+            .map(|w| {
+                db.put(format!("w{w}").into_bytes(), b"v".as_slice());
+                db.commit_stage()
+            })
+            .collect();
+        let writers: Vec<_> = tickets
+            .into_iter()
+            .map(|ticket| {
+                let verdicts = verdicts.clone();
+                std::thread::spawn(move || verdicts.send(ticket.wait()).unwrap())
+            })
+            .collect();
+        // Neither mutex was held across the sync, so nothing is poisoned and
+        // without the leader's scope guard the other two would park forever.
+        for _ in 0..2 {
+            assert_eq!(
+                results.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(DbError::Storage("commit leader panicked".into()))),
+                "a parked ticket of the panicked window"
+            );
+        }
+        let panicked = writers
+            .into_iter()
+            .map(|w| w.join())
+            .filter(Result::is_err)
+            .count();
+        assert_eq!(panicked, 1, "the leader, and only it, unwound");
+        assert_eq!(db.stats().wal_windows, 0);
+        // The next window elects a leader and commits as usual — on the
+        // flush mutex the panic poisoned.
+        db.put(b"next".as_slice(), b"v".as_slice());
+        db.commit().unwrap();
+        assert_eq!(db.stats().commits_per_window, vec![(1, 1)]);
+        drop(db);
+        let db2 = Db::open(Box::new(inner), key()).unwrap();
+        assert_eq!(db2.get(b"next"), Some(b"v".as_slice()));
     }
 
     #[test]

@@ -40,6 +40,18 @@ pub enum EventKind {
         /// Why the replica was benched.
         reason: String,
     },
+    /// A follower left the write quorum without being quarantined (its
+    /// forward backlog hit the cap, the link to it was seen to fail, or an
+    /// apply, install, purge or sweep repair failed on it). It is neither
+    /// electable nor quorum-read until a heal re-admits it.
+    Demotion {
+        /// Shard id.
+        shard: u64,
+        /// Replica index within the shard.
+        replica: usize,
+        /// The first diagnosis (later ones never overwrite it).
+        reason: String,
+    },
     /// A primary was deposed and a follower elected in its place.
     Election {
         /// Shard id.
@@ -177,6 +189,7 @@ impl EventKind {
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Quarantine { .. } => "quarantine",
+            EventKind::Demotion { .. } => "demotion",
             EventKind::Election { .. } => "election",
             EventKind::FenceDrain { .. } => "fence_drain",
             EventKind::GapRejection { .. } => "gap_rejection",
@@ -202,6 +215,11 @@ impl EventKind {
         }
         match self {
             EventKind::Quarantine {
+                shard,
+                replica,
+                reason,
+            }
+            | EventKind::Demotion {
                 shard,
                 replica,
                 reason,
@@ -432,6 +450,11 @@ mod tests {
                 replica: 0,
                 reason: "probe".into(),
             },
+            EventKind::Demotion {
+                shard: 1,
+                replica: 2,
+                reason: "forward backlog at the cap".into(),
+            },
             EventKind::Election {
                 shard: 1,
                 deposed: 0,
@@ -504,6 +527,7 @@ mod tests {
             names,
             vec![
                 "quarantine",
+                "demotion",
                 "election",
                 "fence_drain",
                 "gap_rejection",

@@ -997,6 +997,11 @@ fn a_failed_sweep_repair_demotes_with_its_cause() {
         reason.contains("anti-entropy repair failed") && reason.contains("injected disk failure"),
         "the demotion must name the failed repair, got: {reason}"
     );
+    // ... and it is a flight-recorder event carrying the same diagnosis.
+    let recorded = router.telemetry().flight().events().into_iter().any(|e| {
+        matches!(e.kind, EventKind::Demotion { shard: 0, replica: 2, reason: why } if why == reason)
+    });
+    assert!(recorded, "the demotion must reach the flight recorder");
 
     // The failed window's records reach the disk with its next sync; the
     // follower converged in memory, so the next pass only re-admits it.
