@@ -56,7 +56,11 @@
 //! the window with one counter increment before the verdict. The writer
 //! then parks **once**, on the tally, until `write_quorum − 1` followers
 //! have reported the delta durable — or every forward it queued has
-//! resolved, which is the moment a missed quorum is certain. `Ok`
+//! resolved, which is the moment a missed quorum is certain — **and gives
+//! its seat back** while it does: both sleeps are declared waits
+//! (`palaemon_core::frontdoor::parked`, this one expected to last as long
+//! as the group's last one did), so a front-door worker asleep on a device
+//! or a wire lets another request run in its place. `Ok`
 //! therefore means: durable in the primary's crash image, covered by its
 //! counter, *and* durable on `write_quorum − 1` followers. The followers
 //! outside that quorum finish **behind the ack** and book their verdicts
@@ -209,7 +213,10 @@
 //! Health flags are atomics; a mutation's receipt tally and the telemetry
 //! locks (flight-recorder ring, registry maps) are **leaves** — never
 //! calling back into router or engine code — and may be taken under any
-//! lock above.
+//! lock above. So is the front door's queue mutex, which a worker's two
+//! declared waits take on the way into and out of the sleep: both sleeps
+//! hold the `topology` read lock (the whole dispatch does) and nothing
+//! below it.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -217,7 +224,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use palaemon_core::counterfile::{BatchedCounter, MonotonicCounter};
-use palaemon_core::frontdoor::Door;
+use palaemon_core::frontdoor::{self, Door};
 use palaemon_core::server::{ServerStats, TmsRequest, TmsResponse, TmsServer};
 use palaemon_core::tms::{Palaemon, PolicyDelta, PolicyRecords, SessionId};
 use palaemon_core::PalaemonError;
@@ -1143,6 +1150,10 @@ pub(super) struct GroupCore {
     pub(super) chain: Mutex<HashMap<String, u64>>,
     /// Round-robin cursor for quorum reads.
     read_cursor: AtomicUsize,
+    /// How long the last replicated mutation slept for its quorum's
+    /// receipts, in nanoseconds: what the next one declares it expects to
+    /// ([`frontdoor::parked`]). A measurement, not a setting.
+    quorum_wait_ns: AtomicU64,
     pub(super) telemetry: ReplTelemetry,
     /// This group's shard id, as the flight recorder reports it.
     pub(super) shard: u64,
@@ -1413,6 +1424,7 @@ impl ReplicaSet {
             watermark: AtomicU64::new(0),
             chain: Mutex::new(HashMap::new()),
             read_cursor: AtomicUsize::new(0),
+            quorum_wait_ns: AtomicU64::new(0),
             telemetry: ReplTelemetry::default(),
             shard,
             flight,
@@ -2653,10 +2665,18 @@ impl ClusterRouter {
         let (op, plan) = enqueued?;
         let response = local?;
         // One wait, for the quorum — not for the slowest follower: the
-        // rest finish behind the ack.
+        // rest finish behind the ack. A front-door worker's seat serves
+        // another request meanwhile.
         let quorum_wait = trace::start();
         let needed = group.write_quorum - 1; // the primary holds it
-        let acked = 1 + tally.wait(needed, queued, Instant::now() + ACK_WAIT_CAP);
+        let began = Instant::now();
+        let expected = Duration::from_nanos(group.quorum_wait_ns.load(Ordering::Relaxed));
+        let acked = 1 + frontdoor::parked(expected, || {
+            tally.wait(needed, queued, began + ACK_WAIT_CAP)
+        });
+        group
+            .quorum_wait_ns
+            .store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
         trace::finish(Stage::QuorumAck, quorum_wait);
         if acked < group.write_quorum {
             return Err(ClusterError::QuorumLost {
@@ -5631,6 +5651,52 @@ mod tests {
             assert!(began.elapsed() < ACK_WAIT_CAP / 2);
             assert!(rig.survives_crash(1, 0, 1), "follower 1 did count");
         }
+    }
+
+    /// The writer's one wait for its quorum is a declared wait: asleep on a
+    /// follower's receipt, a front-door worker gives its seat back. One
+    /// seat, a push stuck behind follower 1's shut device at quorum 3 — a
+    /// read submitted behind it is answered while the push still sleeps.
+    #[test]
+    fn a_writer_asleep_on_its_quorum_gives_its_front_door_seat_back() {
+        use palaemon_core::frontdoor::FrontDoor;
+        #[derive(Clone)]
+        struct RigDoor(Arc<DeviceGroup>);
+        impl Door for RigDoor {
+            type Error = ClusterError;
+            fn call(&self, request: TmsRequest) -> Result<TmsResponse> {
+                self.0.router.handle(request)
+            }
+        }
+        let rig = Arc::new(DeviceGroup::new(3, 2));
+        // What the wait is expected to take is the group's last measured
+        // one; set-up's were microseconds. Stand in for a slow follower's.
+        rig.router.topology.read().shards[&rig.id]
+            .quorum_wait_ns
+            .store(1_000_000_000, Ordering::Relaxed);
+        let staged = rig.devices[0].puts.lock().unwrap().len();
+        let shut = rig.devices[0].gate.lock().unwrap();
+        let door = FrontDoor::with_capacity(RigDoor(Arc::clone(&rig)), 1, 8);
+        let push = door.submit(TmsRequest::PushTag {
+            session: rig.sessions[0],
+            volume: "data".into(),
+            tag: DeviceGroup::tag(0, 1),
+            event: TagEvent::Sync,
+        });
+        // Follower 1's sender has staged the delta and is stuck in its sync.
+        wait_for(|| rig.devices[0].puts.lock().unwrap().len() > staged);
+        let read = door.submit(TmsRequest::ReadTag {
+            session: rig.sessions[1],
+            volume: "data".into(),
+        });
+        wait_for(|| read.is_done());
+        assert!(!push.is_done(), "the push cannot have its third receipt");
+        drop(shut);
+        push.wait().unwrap();
+        let drained = door.drain();
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
+        assert!(rig.router.flush_replication(rig.id));
+        rig.assert_converged();
     }
 
     /// An injected counter rollback is its victim's business alone: it

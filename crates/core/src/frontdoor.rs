@@ -10,13 +10,76 @@
 //! populations: any number of client handles [`FrontDoor::submit`]
 //! requests onto a bounded queue and park on cheap completion
 //! [`Ticket`]s (or register a callback with [`FrontDoor::submit_with`]),
-//! while a small fixed worker pool — sized to the engine's actual
-//! parallelism, not the client count — drains the queue through the
-//! server. One process multiplexes thousands of sessions over a few
-//! threads; the queue bound applies backpressure instead of letting a
-//! flood of requests pile up unboundedly ([`FrontDoor::try_submit`]
-//! refuses instead of blocking, for callers that shed load).
+//! while a small worker pool — sized to the engine's actual parallelism,
+//! not the client count — drains the queue through the server. One process
+//! multiplexes thousands of sessions over a few threads; the queue bound
+//! applies backpressure instead of letting a flood of requests pile up
+//! unboundedly ([`FrontDoor::try_submit`] refuses instead of blocking, for
+//! callers that shed load).
 //!
+//! ## What `workers` means
+//! `workers` is the number of requests the pool **runs** at once, not its
+//! thread count. The rule, in one line: *a pool thread takes a job only
+//! while fewer than `workers` threads are inside [`Door::call`] and not in a
+//! declared wait*.
+//!
+//! * **A declared wait.** A thread about to sleep on something slow — a
+//!   device sync, a follower's receipt — wraps the sleep in
+//!   [`parked`]`(expected, || wait)`. The serving path has exactly two:
+//!   the commit ticket in `Staged::redeem` and the receipt tally in
+//!   `palaemon-cluster`'s `replicate`. `expected` is measured by the layer
+//!   that sleeps (the store's last sync, the group's last quorum wait); the
+//!   door configures nothing. On a thread that is not a pool worker — a
+//!   plain [`TmsServer::handle`] caller, a replication follower's sender —
+//!   `parked` just runs the wait.
+//! * **The seat goes back.** Entering a declared wait frees the thread's
+//!   seat: a queued job is handed to a free thread, or, when none is free,
+//!   to a newly spawned one (the same loop; there is no second kind of
+//!   thread). A request that mutates and one that reads therefore stop
+//!   competing for the same few threads: a commit window fills with the
+//!   requests in flight, and a read finds a seat while every mutation
+//!   sleeps.
+//! * **Coming back.** A thread returning from its wait finishes its own
+//!   request — call, then ticket or callback, on the one thread
+//!   ([`FrontDoor::submit_with`]'s contract) — without waiting for a seat,
+//!   so for that stretch more than `workers` requests may run. It competes
+//!   for its *next* job under the rule above.
+//! * **When nothing is handed over.** A wait expected to be shorter than
+//!   [`SEAT_HANDOFF`] keeps its seat: waking another thread would cost more
+//!   than the sleep. A backend whose store syncs in microseconds therefore
+//!   runs on exactly `workers` threads, always. Declared waits nest; only
+//!   the outermost frees a seat.
+//! * **The bound.** The pool never holds more than [`THREADS_PER_WORKER`]`
+//!   × workers` threads. At the bound a wait still frees its seat, there is
+//!   just no thread left to take it — the behaviour of a fixed pool.
+//!   Threads are spawned on demand, never retired, and joined by
+//!   [`FrontDoor::drain`] / `Drop` with the rest; a failed spawn of an
+//!   extra thread is not an error, the job simply waits for a thread.
+//!
+//! This is the synchronous half of a park-free serving path: a request in
+//! flight still holds a *thread* across its device and wire round trips, it
+//! just no longer holds a *seat*. Holding no thread at all needs
+//! acknowledgements delivered as continuations, which a synchronous
+//! [`Door::call`] cannot express; `Door::call` and [`TmsServer::handle`]
+//! stay the synchronous path this serves.
+//!
+//! ## Locks and panics
+//! The queue mutex guards the jobs, the counts (`running`, `waiting`) and
+//! the thread handles. It is a **leaf**: nothing else is acquired under it
+//! (a thread spawn is the one system call made there). Submitters take it
+//! holding whatever they hold; the two declared waits take it on the way
+//! into and out of their sleep, holding no engine lock and, in the cluster,
+//! only the router's topology *read* lock that spans every dispatch — never
+//! a group's `forward_lock`. A poisoned lock is recovered, see [`lock`].
+//!
+//! A [`Door::call`] or callback that panics is caught on the worker: the
+//! thread gives its seat back and serves the next job, and [`parked`]
+//! restores the count through a scope guard, so neither a seat nor a thread
+//! is lost. The panicked request itself is *not* resolved — its ticket is
+//! never completed, its callback never run, it is not counted in
+//! `completed` — because the door has no `D::Error` to resolve it with.
+//!
+//! ## Backends and tracing
 //! The door is generic over the [`Door`] backend it fronts: a single
 //! [`TmsServer`] (the default) or anything else that answers a
 //! [`TmsRequest`] synchronously, such as a sharded cluster router. When
@@ -30,16 +93,59 @@
 //! side of the engine: see `palaemon-cluster`'s router, whose per-follower
 //! background channels take the wire off the mutation ack path.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use palaemon_telemetry::{trace, Collect, MetricSink, Stage, Telemetry, TraceCtx};
 
 use crate::error::PalaemonError;
 use crate::server::{TmsRequest, TmsResponse, TmsServer};
+
+/// A declared wait gives its seat back only when it is expected to last at
+/// least this long: what handing a seat to another thread costs, with room.
+///
+/// Derivation: a hand-over is two more holds of the queue mutex and one
+/// condvar wake of an idle thread, which then has to be scheduled — the
+/// same work as one idle-door round trip, which `perf_bench` measures as
+/// `frontdoor.roundtrip_us` = 8.7 µs. The waits on the other side are a
+/// `MemStore` sync (single-digit µs: hand-over would cost more than it
+/// frees) and a device sync or a follower's receipt (≈ 1 ms on the modelled
+/// device: two orders of magnitude more). 100 µs sits a decade from each.
+/// Swept on `perf_bench` (see `perf/PR-21.md`): 25, 50, 100, 200 and 400 µs
+/// read the same on the device workloads (every wait is compensated) and on
+/// `push_r1_cpu` (none is, no thread beyond `workers` is ever spawned).
+const SEAT_HANDOFF: Duration = Duration::from_micros(100);
+
+/// The pool grows to at most this many threads per worker seat. Each
+/// request asleep in a declared wait holds one thread, so this bounds the
+/// requests that can sleep at once at `(THREADS_PER_WORKER − 1) × workers`
+/// beside a full set of running ones; past it the pool behaves as a fixed
+/// pool does. Four is twice what a queue kept two-deep per worker needs
+/// (`perf_bench`: 16 in flight over 8 workers) and keeps the worst case at
+/// a few dozen mostly-sleeping threads.
+const THREADS_PER_WORKER: usize = 4;
+
+/// Locks `mutex`. Lock-poison policy of this module, stated once for this
+/// and [`wait`]: a poisoned lock is **recovered**, not propagated. Every
+/// critical section leaves its state valid at each step — queue sections
+/// are a push or a pop and plain counter updates, ticket sections a single
+/// `Option` store or take — and the only foreign code a pool thread runs
+/// (the backend call, a callback) runs under no lock of this module.
+/// Propagating would turn one panic into a panic in every later submitter.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Sleeps on `condvar`; poison is recovered, see [`lock`].
+fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    condvar.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A synchronous request backend a [`FrontDoor`] pool can drain into:
 /// one engine ([`TmsServer`]) or a sharded cluster router.
@@ -78,15 +184,27 @@ struct Job<E> {
 struct DoorQueue<E> {
     jobs: VecDeque<Job<E>>,
     shutdown: bool,
+    /// Threads inside a request — backend call, then ticket or callback —
+    /// and not in a declared wait. Jobs are taken only while this is below
+    /// `workers`; a thread back from a wait re-enters unconditionally.
+    running: usize,
+    /// Threads asleep in a declared wait. A thread that is neither running
+    /// nor here is *free*: asleep on `ready`, or on its way to look at the
+    /// queue — just spawned, just woken, between two jobs.
+    waiting: usize,
+    /// Every thread the pool ever spawned; `Drop` joins them.
+    threads: Vec<JoinHandle<()>>,
 }
 
 /// State shared between submitters and workers.
 struct DoorShared<E> {
     queue: Mutex<DoorQueue<E>>,
-    /// Signals workers that a job (or shutdown) is ready.
+    /// Signals idle threads that a job may be takeable (or shutdown).
     ready: Condvar,
     /// Signals blocked submitters that queue space freed up.
     space: Condvar,
+    /// Requests run at once; see the module docs.
+    workers: usize,
     capacity: usize,
     submitted: AtomicU64,
     completed: AtomicU64,
@@ -129,23 +247,23 @@ impl<E> Ticket<E> {
 
     /// True once the result is available ([`Ticket::wait`] won't block).
     pub fn is_done(&self) -> bool {
-        self.state.slot.lock().unwrap().is_some()
+        lock(&self.state.slot).is_some()
     }
 
     /// The result, if already available — the ticket stays waitable
     /// otherwise.
     pub fn try_take(&self) -> Option<std::result::Result<TmsResponse, E>> {
-        self.state.slot.lock().unwrap().take()
+        lock(&self.state.slot).take()
     }
 
     /// Parks until the request completes and returns its result.
     pub fn wait(self) -> std::result::Result<TmsResponse, E> {
-        let mut slot = self.state.slot.lock().unwrap();
+        let mut slot = lock(&self.state.slot);
         loop {
             if let Some(result) = slot.take() {
                 return result;
             }
-            slot = self.state.done.wait(slot).unwrap();
+            slot = wait(&self.state.done, slot);
         }
     }
 }
@@ -153,7 +271,8 @@ impl<E> Ticket<E> {
 /// Point-in-time counters of a [`FrontDoor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontDoorStats {
-    /// Worker threads in the pool.
+    /// Requests the pool runs at once — threads inside a request and not
+    /// in a declared wait (see the module docs).
     pub workers: usize,
     /// Queue bound (backpressure threshold).
     pub capacity: usize,
@@ -188,7 +307,8 @@ impl Collect for FrontDoorStats {
 /// accepted request still completes) and joins the workers.
 pub struct FrontDoor<D: Door = TmsServer> {
     shared: Arc<DoorShared<D::Error>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Cloned into each thread a submission has to spawn.
+    door: D,
 }
 
 impl<D: Door> std::fmt::Debug for FrontDoor<D> {
@@ -202,8 +322,8 @@ impl<D: Door> std::fmt::Debug for FrontDoor<D> {
 }
 
 impl<D: Door> FrontDoor<D> {
-    /// Spawns a pool of `workers` threads over `door` with a default
-    /// queue bound of 128 jobs per worker.
+    /// Spawns a pool running `workers` requests at once over `door`, with
+    /// a default queue bound of 128 jobs per worker.
     pub fn new(door: D, workers: usize) -> Self {
         let workers = workers.max(1);
         FrontDoor::with_capacity(door, workers, workers * 128)
@@ -235,9 +355,13 @@ impl<D: Door> FrontDoor<D> {
             queue: Mutex::new(DoorQueue {
                 jobs: VecDeque::new(),
                 shutdown: false,
+                running: 0,
+                waiting: 0,
+                threads: Vec::with_capacity(workers),
             }),
             ready: Condvar::new(),
             space: Condvar::new(),
+            workers,
             capacity: capacity.max(1),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -245,20 +369,12 @@ impl<D: Door> FrontDoor<D> {
             queue_peak: AtomicUsize::new(0),
             telemetry,
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let door = door.clone();
-                std::thread::Builder::new()
-                    .name(format!("palaemon-door-{i}"))
-                    .spawn(move || worker_loop(shared, door))
-                    .expect("spawn front-door worker")
-            })
-            .collect();
-        FrontDoor {
-            shared,
-            workers: handles,
+        let mut q = lock(&shared.queue);
+        for _ in 0..workers {
+            spawn_worker(&shared, &door, &mut q).expect("spawn front-door worker");
         }
+        drop(q);
+        FrontDoor { shared, door }
     }
 
     /// Mints the trace pair for a request entering the queue now, when a
@@ -274,9 +390,9 @@ impl<D: Door> FrontDoor<D> {
     /// The queue guard once there is room for one more job (or the pool is
     /// shutting down) — backpressure for the blocking submit forms.
     fn wait_for_space(&self) -> MutexGuard<'_, DoorQueue<D::Error>> {
-        let mut q = self.shared.queue.lock().unwrap();
+        let mut q = lock(&self.shared.queue);
         while q.jobs.len() >= self.shared.capacity && !q.shutdown {
-            q = self.shared.space.wait(q).unwrap();
+            q = wait(&self.shared.space, q);
         }
         q
     }
@@ -299,8 +415,7 @@ impl<D: Door> FrontDoor<D> {
         self.shared
             .queue_peak
             .fetch_max(q.jobs.len(), Ordering::Relaxed);
-        drop(q);
-        self.shared.ready.notify_one();
+        offer(&self.shared, &self.door, q);
     }
 
     /// Submits a request, blocking while the queue is at capacity
@@ -322,7 +437,7 @@ impl<D: Door> FrontDoor<D> {
         &self,
         request: TmsRequest,
     ) -> std::result::Result<Ticket<D::Error>, TmsRequest> {
-        let q = self.shared.queue.lock().unwrap();
+        let q = lock(&self.shared.queue);
         if q.jobs.len() >= self.shared.capacity {
             drop(q);
             // A refusal is still a submission attempt: count it on
@@ -338,8 +453,9 @@ impl<D: Door> FrontDoor<D> {
     }
 
     /// Submits with a completion callback instead of a ticket — the
-    /// event-loop form. The callback runs on a worker thread; keep it
-    /// short. Blocks at capacity like [`FrontDoor::submit`].
+    /// event-loop form. The callback runs on the thread that ran the
+    /// backend call, right after it; keep it short. Blocks at capacity
+    /// like [`FrontDoor::submit`].
     pub fn submit_with(
         &self,
         request: TmsRequest,
@@ -351,15 +467,7 @@ impl<D: Door> FrontDoor<D> {
 
     /// Current counters.
     pub fn stats(&self) -> FrontDoorStats {
-        FrontDoorStats {
-            workers: self.workers.len(),
-            capacity: self.shared.capacity,
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            queue_depth: self.shared.queue.lock().unwrap().jobs.len(),
-            queue_peak: self.shared.queue_peak.load(Ordering::Relaxed),
-        }
+        self.shared.stats()
     }
 
     /// Shuts the pool down — drains every accepted request, joins the
@@ -368,63 +476,211 @@ impl<D: Door> FrontDoor<D> {
     /// and `submitted == completed + rejected`.
     pub fn drain(self) -> FrontDoorStats {
         let shared = Arc::clone(&self.shared);
-        let workers = self.workers.len();
         drop(self); // Drop drains the queue and joins the pool.
-        let queue_depth = shared.queue.lock().unwrap().jobs.len();
+        shared.stats()
+    }
+}
+
+impl<E> DoorShared<E> {
+    fn stats(&self) -> FrontDoorStats {
         FrontDoorStats {
-            workers,
-            capacity: shared.capacity,
-            submitted: shared.submitted.load(Ordering::Relaxed),
-            completed: shared.completed.load(Ordering::Relaxed),
-            rejected: shared.rejected.load(Ordering::Relaxed),
-            queue_depth,
-            queue_peak: shared.queue_peak.load(Ordering::Relaxed),
+            workers: self.workers,
+            capacity: self.capacity,
+            submitted: self.submitted.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            queue_depth: lock(&self.queue).jobs.len(),
+            queue_peak: self.queue_peak.load(Ordering::Relaxed),
         }
     }
 }
 
 impl<D: Door> Drop for FrontDoor<D> {
     fn drop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.shutdown = true;
-        }
+        lock(&self.shared.queue).shutdown = true;
         self.shared.ready.notify_all();
         self.shared.space.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // A draining request may still spawn a thread; it registers the
+        // handle before the thread that spawned it can exit, so joining
+        // until none is left misses nobody.
+        loop {
+            let threads = std::mem::take(&mut lock(&self.shared.queue).threads);
+            if threads.is_empty() {
+                break;
+            }
+            for handle in threads {
+                let _ = handle.join();
+            }
         }
     }
 }
 
-fn worker_loop<D: Door>(shared: Arc<DoorShared<D::Error>>, door: D) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = q.jobs.pop_front() {
-                    break job;
+/// Adds one thread to the pool, under the queue guard that counts it.
+fn spawn_worker<D: Door>(
+    shared: &Arc<DoorShared<D::Error>>,
+    door: &D,
+    q: &mut DoorQueue<D::Error>,
+) -> std::io::Result<()> {
+    let worker = Worker {
+        shared: Arc::clone(shared),
+        door: door.clone(),
+        asleep: Cell::new(false),
+    };
+    let handle = std::thread::Builder::new()
+        .name(format!("palaemon-door-{}", q.threads.len()))
+        .spawn(move || worker.serve())?;
+    q.threads.push(handle);
+    Ok(())
+}
+
+/// Gives the job at the head of the queue a thread, if a seat is free for
+/// it: wakes a free thread, or spawns one below the bound. Called, guard
+/// in hand, wherever a job or a seat has just become available and the
+/// caller is not going to take it itself. One free thread may be counted
+/// on by two jobs in a row, so every thread that takes a job offers the one
+/// behind it in turn.
+fn offer<D: Door>(
+    shared: &Arc<DoorShared<D::Error>>,
+    door: &D,
+    mut q: MutexGuard<'_, DoorQueue<D::Error>>,
+) {
+    if q.jobs.is_empty() || q.running >= shared.workers {
+        return;
+    }
+    if q.threads.len() > q.running + q.waiting {
+        drop(q);
+        shared.ready.notify_one();
+    } else if q.threads.len() < shared.workers * THREADS_PER_WORKER {
+        // Not fatal when it fails: the job waits for a thread to come
+        // back, as it does at the bound.
+        let _ = spawn_worker(shared, door, &mut q);
+    }
+}
+
+/// What [`parked`] needs of the pool thread it finds itself on.
+trait Seat {
+    /// Frees the seat; `false` when the thread is already in a declared
+    /// wait (the outer one freed it).
+    fn leave(&self) -> bool;
+    /// Takes the seat back, whether or not one is free.
+    fn rejoin(&self);
+}
+
+thread_local! {
+    /// This thread's pool seat; `None` on every thread that is not a
+    /// front-door worker.
+    static SEAT: RefCell<Option<Rc<dyn Seat>>> = const { RefCell::new(None) };
+}
+
+/// Declares that `wait` is about to sleep for about `expected` on something
+/// slow, and runs it. On a [`FrontDoor`] pool thread, if `expected` is worth
+/// a hand-over (see [`SEAT_HANDOFF`]), the thread's seat is free for
+/// another request for as long as `wait` runs; everywhere else this is just
+/// `wait()`. The seat is taken back when `wait` returns *or unwinds*.
+pub fn parked<T>(expected: Duration, wait: impl FnOnce() -> T) -> T {
+    /// Takes the seat back on every way out of the wait.
+    struct Rejoin(Rc<dyn Seat>);
+    impl Drop for Rejoin {
+        fn drop(&mut self) {
+            self.0.rejoin();
+        }
+    }
+    if expected < SEAT_HANDOFF {
+        return wait();
+    }
+    // `try_with`: a wait declared from a thread-local destructor finds the
+    // slot gone, and is on no pool thread's serving path anyway.
+    let seat = SEAT.try_with(|seat| seat.borrow().clone()).ok().flatten();
+    let _back = seat.filter(|seat| seat.leave()).map(Rejoin);
+    wait()
+}
+
+/// One pool thread: its share of the pool's state and its own backend
+/// handle.
+struct Worker<D: Door> {
+    shared: Arc<DoorShared<D::Error>>,
+    door: D,
+    /// This thread is in a declared wait (its seat is free).
+    asleep: Cell<bool>,
+}
+
+impl<D: Door> Seat for Worker<D> {
+    fn leave(&self) -> bool {
+        if self.asleep.replace(true) {
+            return false;
+        }
+        let mut q = lock(&self.shared.queue);
+        q.running -= 1;
+        q.waiting += 1;
+        offer(&self.shared, &self.door, q);
+        true
+    }
+
+    fn rejoin(&self) {
+        let mut q = lock(&self.shared.queue);
+        q.waiting -= 1;
+        q.running += 1;
+        drop(q);
+        self.asleep.set(false);
+    }
+}
+
+impl<D: Door> Worker<D> {
+    /// The thread's body: take a job when a seat is free, run it, repeat;
+    /// return once the pool is shut down and the queue drained.
+    fn serve(self) {
+        let worker = Rc::new(self);
+        SEAT.with(|seat| *seat.borrow_mut() = Some(Rc::clone(&worker) as Rc<dyn Seat>));
+        let shared = &worker.shared;
+        let mut seated = false;
+        loop {
+            let mut q = lock(&shared.queue);
+            // The last request's seat, given back in the same hold that
+            // looks for the next.
+            q.running -= usize::from(std::mem::take(&mut seated));
+            let job = loop {
+                if q.running < shared.workers {
+                    if let Some(job) = q.jobs.pop_front() {
+                        break job;
+                    }
                 }
-                if q.shutdown {
-                    return; // queue drained, pool shutting down
+                if q.shutdown && q.jobs.is_empty() {
+                    drop(q);
+                    // Threads that found no seat while the queue drained
+                    // sleep on; the shutdown's own wake-up is long past.
+                    shared.ready.notify_all();
+                    return;
                 }
-                q = shared.ready.wait(q).unwrap();
+                q = wait(&shared.ready, q);
+            };
+            q.running += 1;
+            seated = true;
+            offer(shared, &worker.door, q);
+            shared.space.notify_one();
+            // A panic below the door costs its own request (see the module
+            // docs) and nothing else: `seated` gives the seat back above,
+            // `parked` has restored the count on its way out.
+            if catch_unwind(AssertUnwindSafe(|| worker.run(job))).is_err() {
+                trace::take();
             }
-        };
-        shared.space.notify_one();
+        }
+    }
+
+    /// Runs one request: backend call, then ticket or callback.
+    fn run(&self, job: Job<D::Error>) {
         // With a trace attached: book the queue wait, install the context
         // so deeper layers (engine apply, counter commit, replication)
         // record their stages, and fold the finished trace into the plane.
-        let tracing = match (&shared.telemetry, job.trace) {
+        let tracing = match (&self.shared.telemetry, job.trace) {
             (Some(telemetry), Some((id, enqueued))) => {
                 let mut ctx = TraceCtx::new(id);
                 ctx.add(Stage::QueueWait, enqueued.elapsed().as_nanos() as u64);
                 trace::install(ctx);
-                Some(Arc::clone(telemetry))
+                Some(telemetry)
             }
             _ => None,
         };
-        let result = door.call(job.request);
+        let result = self.door.call(job.request);
         if let Some(telemetry) = tracing {
             if let Some(ctx) = trace::take() {
                 telemetry.finish_trace(ctx);
@@ -432,10 +688,10 @@ fn worker_loop<D: Door>(shared: Arc<DoorShared<D::Error>>, door: D) {
         }
         // Count before resolving the sink: a client whose ticket just
         // resolved must see its own request in `completed`.
-        shared.completed.fetch_add(1, Ordering::Relaxed);
+        self.shared.completed.fetch_add(1, Ordering::Relaxed);
         match job.sink {
             Sink::Ticket(state) => {
-                *state.slot.lock().unwrap() = Some(result);
+                *lock(&state.slot) = Some(result);
                 state.done.notify_all();
             }
             Sink::Callback(callback) => callback(result),
@@ -446,6 +702,7 @@ fn worker_loop<D: Door>(shared: Arc<DoorShared<D::Error>>, door: D) {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicUsize;
+    use std::thread::ThreadId;
     use std::time::Duration;
 
     use super::*;
@@ -765,5 +1022,279 @@ mod tests {
         let stats = door.drain();
         assert_eq!(stats.submitted, stats.completed + stats.rejected);
         assert_eq!(stats.queue_depth, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // `workers` counts running requests: declared waits give the seat back
+    // ------------------------------------------------------------------
+
+    /// A wait long enough to be worth a hand-over, whatever the threshold.
+    const LONG: Duration = Duration::from_secs(1);
+
+    /// A backend that is nothing but a wait: each call (a `CloseSession`
+    /// whose session id is the request's marker) reports in and sleeps on a
+    /// gate the test opens — declared as `expected` long, or, with `None`,
+    /// not declared at all. Two markers panic instead: [`Waiting::PANIC`]
+    /// before the wait, [`Waiting::PANIC_ASLEEP`] inside it.
+    #[derive(Clone)]
+    struct Waiting {
+        expected: Option<Duration>,
+        state: Arc<WaitingState>,
+    }
+
+    #[derive(Default)]
+    struct WaitingState {
+        /// `(calls that have reached the gate, gate open)`.
+        gate: Mutex<(usize, bool)>,
+        changed: Condvar,
+        /// `(marker, thread)` of every call, in the order the calls began.
+        calls: Mutex<Vec<(u64, ThreadId)>>,
+    }
+
+    impl Waiting {
+        const PANIC: u64 = u64::MAX;
+        const PANIC_ASLEEP: u64 = u64::MAX - 1;
+
+        fn new(expected: Option<Duration>) -> Self {
+            Waiting {
+                expected,
+                state: Arc::default(),
+            }
+        }
+
+        fn request(marker: u64) -> TmsRequest {
+            TmsRequest::CloseSession {
+                session: SessionId(marker),
+            }
+        }
+
+        /// Blocks until `n` calls have reached the gate (the cap only turns
+        /// a hang into a failure).
+        fn reached_gate(&self, n: usize) {
+            let (gate, timeout) = self
+                .state
+                .changed
+                .wait_timeout_while(lock(&self.state.gate), Duration::from_secs(30), |g| g.0 < n)
+                .unwrap();
+            assert!(!timeout.timed_out(), "{} of {n} calls at the gate", gate.0);
+        }
+
+        fn open(&self) {
+            lock(&self.state.gate).1 = true;
+            self.state.changed.notify_all();
+        }
+
+        /// Opens the gate and sees every one of `tickets` answered.
+        fn open_and_finish(&self, tickets: impl IntoIterator<Item = Ticket<()>>) {
+            self.open();
+            for ticket in tickets {
+                assert!(matches!(ticket.wait(), Ok(TmsResponse::Done)));
+            }
+        }
+
+        fn calls(&self) -> Vec<(u64, ThreadId)> {
+            lock(&self.state.calls).clone()
+        }
+    }
+
+    impl Door for Waiting {
+        type Error = ();
+
+        fn call(&self, request: TmsRequest) -> std::result::Result<TmsResponse, ()> {
+            let TmsRequest::CloseSession { session } = request else {
+                panic!("the waiting backend only takes markers");
+            };
+            let marker = session.0;
+            lock(&self.state.calls).push((marker, std::thread::current().id()));
+            assert_ne!(marker, Self::PANIC, "asked to panic");
+            let sleep = || {
+                assert_ne!(marker, Self::PANIC_ASLEEP, "asked to panic asleep");
+                let mut gate = lock(&self.state.gate);
+                gate.0 += 1;
+                self.state.changed.notify_all();
+                while !gate.1 {
+                    gate = wait(&self.state.changed, gate);
+                }
+            };
+            match self.expected {
+                Some(expected) => parked(expected, sleep),
+                None => sleep(),
+            }
+            Ok(TmsResponse::Done)
+        }
+    }
+
+    /// Threads the pool has spawned so far.
+    fn threads<D: Door>(door: &FrontDoor<D>) -> usize {
+        lock(&door.shared.queue).threads.len()
+    }
+
+    #[test]
+    fn requests_asleep_in_a_declared_wait_do_not_hold_a_seat() {
+        const WORKERS: usize = 2;
+        let backend = Waiting::new(Some(LONG));
+        let door = FrontDoor::with_capacity(backend.clone(), WORKERS, 16);
+        let tickets: Vec<_> = (0..6).map(|m| door.submit(Waiting::request(m))).collect();
+        // Six requests over two seats: all six are inside the backend at
+        // once, each on a thread of its own, within the stated bound.
+        backend.reached_gate(6);
+        assert_eq!(door.stats().queue_depth, 0);
+        assert_eq!(threads(&door), 6);
+        assert!(threads(&door) <= WORKERS * THREADS_PER_WORKER);
+        assert_eq!(
+            door.stats().workers,
+            WORKERS,
+            "`workers` is seats, not threads"
+        );
+        backend.open_and_finish(tickets);
+        // Drain joins the extra threads with the rest: every thread's clone
+        // of the backend is gone, the queue empty, the counts conserved.
+        let drained = door.drain();
+        assert_eq!(Arc::strong_count(&backend.state), 1);
+        assert_eq!(drained.queue_depth, 0);
+        assert_eq!(drained.submitted, 6);
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
+    }
+
+    #[test]
+    fn the_pool_stops_growing_at_its_bound() {
+        const BOUND: usize = THREADS_PER_WORKER;
+        let backend = Waiting::new(Some(LONG));
+        let door = FrontDoor::with_capacity(backend.clone(), 1, 16);
+        let tickets: Vec<_> = (0..BOUND as u64 + 3)
+            .map(|m| door.submit(Waiting::request(m)))
+            .collect();
+        // Past the bound a wait frees its seat to nobody: the rest queue.
+        backend.reached_gate(BOUND);
+        assert_eq!(threads(&door), BOUND);
+        assert_eq!(door.stats().queue_depth, 3);
+        backend.open_and_finish(tickets);
+        assert_eq!(threads(&door), BOUND);
+    }
+
+    #[test]
+    fn short_or_undeclared_waits_never_grow_the_pool() {
+        const WORKERS: usize = 2;
+        // A wait expected to be shorter than a hand-over costs, and a
+        // backend that declares nothing: a fixed pool of `workers` threads.
+        let just_short = SEAT_HANDOFF - Duration::from_nanos(1);
+        for expected in [Some(just_short), Some(Duration::ZERO), None] {
+            let backend = Waiting::new(expected);
+            let door = FrontDoor::with_capacity(backend.clone(), WORKERS, 16);
+            let tickets: Vec<_> = (0..6).map(|m| door.submit(Waiting::request(m))).collect();
+            // Both seats are asleep at the gate and stay taken: four
+            // requests queue, and nothing was spawned for them.
+            backend.reached_gate(WORKERS);
+            assert_eq!(door.stats().queue_depth, 6 - WORKERS, "{expected:?}");
+            assert_eq!(threads(&door), WORKERS, "{expected:?}");
+            backend.open_and_finish(tickets);
+            assert_eq!(threads(&door), WORKERS, "{expected:?}");
+            let drained = door.drain();
+            assert_eq!(drained.submitted, drained.completed + drained.rejected);
+        }
+    }
+
+    #[test]
+    fn a_request_runs_call_and_callback_on_one_thread_and_pickup_is_fifo() {
+        let backend = Waiting::new(Some(LONG));
+        // One seat: request k + 1 is picked up only once request k has
+        // begun its call and gone to sleep, so the order is not a race.
+        let door = FrontDoor::with_capacity(backend.clone(), 1, 16);
+        let callbacks = Arc::new(Mutex::new(Vec::new()));
+        let markers = 0..THREADS_PER_WORKER as u64;
+        for marker in markers.clone() {
+            let callbacks = Arc::clone(&callbacks);
+            door.submit_with(Waiting::request(marker), move |result| {
+                assert!(matches!(result, Ok(TmsResponse::Done)));
+                lock(&callbacks).push((marker, std::thread::current().id()));
+            });
+        }
+        backend.reached_gate(markers.clone().count());
+        backend.open();
+        drop(door);
+        let calls = backend.calls();
+        let picked: Vec<u64> = calls.iter().map(|&(marker, _)| marker).collect();
+        assert_eq!(picked, markers.collect::<Vec<_>>(), "pick-up is FIFO");
+        let mut callbacks = lock(&callbacks).clone();
+        callbacks.sort_unstable_by_key(|&(marker, _)| marker);
+        assert_eq!(callbacks, calls, "each callback ran where its call did");
+        let mut distinct: Vec<ThreadId> = calls.iter().map(|&(_, thread)| thread).collect();
+        distinct.dedup();
+        assert_eq!(distinct.len(), calls.len(), "one thread per sleeper");
+    }
+
+    #[test]
+    fn parked_is_a_plain_wait_off_the_pool() {
+        // One seat, held by an undeclared sleeper; a second request queued.
+        let backend = Waiting::new(None);
+        let door = FrontDoor::with_capacity(backend.clone(), 1, 16);
+        let tickets = [0, 1].map(|m| door.submit(Waiting::request(m)));
+        backend.reached_gate(1);
+        // A declared wait on this thread — no pool thread — runs in place
+        // and frees nothing: the queued request stays queued.
+        let here = std::thread::current().id();
+        assert_eq!(parked(LONG, || std::thread::current().id()), here);
+        assert_eq!(door.stats().queue_depth, 1);
+        assert_eq!(threads(&door), 1);
+        backend.open_and_finish(tickets);
+    }
+
+    #[test]
+    fn declared_waits_nest_and_only_the_outermost_frees_the_seat() {
+        /// Declares a wait inside a declared wait around the backend.
+        #[derive(Clone)]
+        struct Nested(Waiting);
+        impl Door for Nested {
+            type Error = ();
+            fn call(&self, request: TmsRequest) -> std::result::Result<TmsResponse, ()> {
+                parked(LONG, || self.0.call(request))
+            }
+        }
+        let backend = Waiting::new(Some(LONG));
+        let door = FrontDoor::with_capacity(Nested(backend.clone()), 1, 16);
+        let tickets = [0, 1, 2].map(|m| door.submit(Waiting::request(m)));
+        backend.reached_gate(3);
+        // Had an inner wait freed a second seat, `running` would have gone
+        // below zero; had leaving it taken the seat back early, the next
+        // request would not have been picked up.
+        assert_eq!(lock(&door.shared.queue).running, 0);
+        assert_eq!(lock(&door.shared.queue).waiting, 3);
+        backend.open_and_finish(tickets);
+        let drained = door.drain();
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
+    }
+
+    #[test]
+    fn a_panicking_call_costs_its_own_request_and_nothing_else() {
+        // One seat and one thread: a leaked seat or a dead thread would
+        // leave every later request queued for ever.
+        const WORKERS: usize = 1;
+        for (expected, marker) in [
+            (None, Waiting::PANIC),
+            (Some(LONG), Waiting::PANIC),
+            (Some(LONG), Waiting::PANIC_ASLEEP),
+        ] {
+            let backend = Waiting::new(expected);
+            backend.open();
+            let door = FrontDoor::with_capacity(backend.clone(), WORKERS, 16);
+            let lost = door.submit(Waiting::request(marker));
+            let tickets: Vec<_> = (0..2 * WORKERS as u64)
+                .map(|m| door.submit(Waiting::request(m)))
+                .collect();
+            backend.open_and_finish(tickets);
+            if expected.is_none() {
+                assert_eq!(
+                    threads(&door),
+                    WORKERS,
+                    "the thread survived: none replaced it"
+                );
+            }
+            let drained = door.drain();
+            // The panicked request is not resolved and not counted: the
+            // door has no error of the backend's type to resolve it with.
+            assert!(!lost.is_done());
+            assert_eq!(drained.completed, 2 * WORKERS as u64);
+            assert_eq!(drained.submitted, drained.completed + 1);
+        }
     }
 }

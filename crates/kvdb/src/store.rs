@@ -126,6 +126,7 @@ use std::collections::BTreeMap;
 use std::error::Error as StdError;
 use std::fmt;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -467,6 +468,9 @@ struct WalShared {
     /// The one lingering leader waits here for the herd's last stager.
     linger_cv: Condvar,
     wal: Mutex<WalCore>,
+    /// The shorter of the store's last two successful `sync`s, in
+    /// nanoseconds: [`CommitTicket::expected_wait`], read without the mutex.
+    settled_sync_ns: AtomicU64,
     /// Committer park times, for `group_commit_wait_p99`.
     wait_hist: palaemon_telemetry::Histogram,
 }
@@ -494,6 +498,7 @@ impl WalShared {
             window_cv: Condvar::new(),
             linger_cv: Condvar::new(),
             wal: Mutex::new(WalCore { store, key, meta }),
+            settled_sync_ns: AtomicU64::new(0),
             wait_hist: palaemon_telemetry::Histogram::new(),
         })
     }
@@ -615,6 +620,9 @@ impl WalShared {
                 st.commits += u64::from(commits);
                 st.wal_windows += 1;
                 *st.per_window.entry(commits).or_insert(0) += 1;
+                let settled = st.last_sync.min(*synced);
+                self.settled_sync_ns
+                    .store(settled.as_nanos() as u64, Ordering::Relaxed);
                 st.last_sync = *synced;
             }
             Err(err) => st.note_failure(epoch, err.clone()),
@@ -683,6 +691,22 @@ impl fmt::Debug for CommitTicket {
 }
 
 impl CommitTicket {
+    /// How long [`CommitTicket::wait`] is likely to sleep: the time a
+    /// `sync` of the store takes — what the window's leader is about to
+    /// spend, and every other ticket to sit out. Measured, not configured:
+    /// the shorter of the store's last two successful syncs, because a
+    /// single reading on a busy machine now and then includes a preemption
+    /// of the thread that took it (9 in 90 000 `MemStore` syncs read over
+    /// 100 µs on `perf_bench`'s `push_r1_cpu`) and two in a row do not.
+    /// Zero for a no-op ticket and before the second window. A caller that
+    /// can lend its thread's place to other work while it sleeps (PALÆMON's
+    /// front door) decides by this whether that is worth the hand-over.
+    pub fn expected_wait(&self) -> Duration {
+        self.inner.as_ref().map_or(Duration::ZERO, |(shared, _)| {
+            Duration::from_nanos(shared.settled_sync_ns.load(Ordering::Relaxed))
+        })
+    }
+
     /// Blocks until the staged window is durable (or failed) and returns
     /// the verdict. The first waiter of a window to find no leader at work
     /// leads it ([`WalShared::lead`]: it may hold the window open briefly
