@@ -2104,17 +2104,14 @@ impl ClusterRouter {
         local: Option<SessionId>,
         policy: Option<&str>,
     ) -> Result<TmsResponse> {
-        // Policy and tag reads can be served by any freshness-checked
-        // in-quorum replica, and attestation can *seat* on one (each
-        // replica allocates session ids from its own residue class, and
-        // the new session is mirrored group-wide either way); everything
-        // else — mutations, approval rounds (whose single-use nonces must
-        // be consumed exactly once, then mirrored) — seats on the primary.
-        let follower_readable = matches!(
-            request,
-            TmsRequest::ReadPolicy { .. } | TmsRequest::ReadTag { .. }
-        );
-        if follower_readable
+        // Snapshot reads can be served by any freshness-checked in-quorum
+        // replica, and attestation can *seat* on one (each replica
+        // allocates session ids from its own residue class, and the new
+        // session is mirrored group-wide either way); everything else —
+        // mutations, approval rounds and approval-carrying reads (whose
+        // single-use nonces must be consumed exactly once, then mirrored)
+        // — seats on the primary.
+        if request.is_snapshot_read()
             && group.replicas.len() > 1
             && self.read_preference() == ReadPreference::Quorum
         {
@@ -2240,17 +2237,16 @@ impl ClusterRouter {
                 group.mirror_approval(pidx, approval.nonce);
                 return Ok(response);
             }
-            // Pure read: if a failover raced us, the deposed primary may
-            // have missed a write acked on its successor — retry there.
+            // Pure read (`ReadTag` / `ReadPolicy`, the only requests left):
+            // if a failover raced us, the deposed primary may have missed a
+            // write acked on its successor — retry there.
             if group.primary_idx() != pidx || primary.is_quarantined() {
                 continue;
             }
-            if follower_readable {
-                group
-                    .telemetry
-                    .reads_primary
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            group
+                .telemetry
+                .reads_primary
+                .fetch_add(1, Ordering::Relaxed);
             return Ok(response);
         }
     }
@@ -2367,10 +2363,9 @@ impl ClusterRouter {
         None
     }
 
-    /// Quorum-read placement: serves the read from
+    /// Quorum-read placement for a snapshot read: serves it from
     /// [`Self::fresh_follower`]'s pick. `None` hands it to the primary
-    /// path (no pick, or a follower-side error such as a board-approval
-    /// nonce that only the primary holds — falling back rather than
+    /// path (no pick, or a follower-side error — falling back rather than
     /// guessing which errors are benign).
     fn try_follower_read(
         &self,
@@ -2378,12 +2373,6 @@ impl ClusterRouter {
         request: &TmsRequest,
         local: Option<SessionId>,
     ) -> Option<TmsResponse> {
-        // Approval-carrying reads consume a single-use nonce; a follower
-        // burning its mirrored copy would diverge the round state from
-        // the primary's, so those always seat on the primary.
-        if approval_nonce(request).is_some() {
-            return None;
-        }
         let k = self.fresh_follower(group, request, local)?;
         let req = match local {
             Some(l) => localize_session(request.clone(), l),
@@ -5656,7 +5645,8 @@ mod tests {
     /// The writer's one wait for its quorum is a declared wait: asleep on a
     /// follower's receipt, a front-door worker gives its seat back. One
     /// seat, a push stuck behind follower 1's shut device at quorum 3 — a
-    /// read submitted behind it is answered while the push still sleeps.
+    /// close submitted behind it is answered while the push still sleeps.
+    /// (A tag read needs no seat at all: the door answers it in place.)
     #[test]
     fn a_writer_asleep_on_its_quorum_gives_its_front_door_seat_back() {
         use palaemon_core::frontdoor::FrontDoor;
@@ -5685,11 +5675,18 @@ mod tests {
         });
         // Follower 1's sender has staged the delta and is stuck in its sync.
         wait_for(|| rig.devices[0].puts.lock().unwrap().len() > staged);
-        let read = door.submit(TmsRequest::ReadTag {
+        let read = TmsRequest::ReadTag {
             session: rig.sessions[1],
             volume: "data".into(),
+        };
+        assert!(
+            door.submit(read).is_done(),
+            "answered before submit returned"
+        );
+        let close = door.submit(TmsRequest::CloseSession {
+            session: rig.sessions[1],
         });
-        wait_for(|| read.is_done());
+        wait_for(|| close.is_done());
         assert!(!push.is_done(), "the push cannot have its third receipt");
         drop(shut);
         push.wait().unwrap();

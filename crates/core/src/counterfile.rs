@@ -350,8 +350,20 @@ impl BatchedCounter {
     /// # Errors
     /// Backend increment failures; none of `ops` is then counted and the
     /// next call increments afresh.
+    ///
+    /// An increment that **panicked** fails closed instead: the backend lock
+    /// is poisoned, and every later call returns
+    /// [`PalaemonError::StrictModeViolation`] without touching the backend.
+    /// A counter interrupted mid-increment can no longer vouch for anything,
+    /// so the windows it would cover are refused until a restart passes the
+    /// Fig. 6 startup check; unlike a panic, the refusal reaches each
+    /// window's verdict and so every waiting client.
     pub fn cover(&self, ops: u32) -> Result<u64> {
-        let mut counter = self.counter.lock().expect("counter lock");
+        let mut counter = self.counter.lock().map_err(|_| {
+            PalaemonError::StrictModeViolation(
+                "rollback counter panicked mid-increment; refusing until restart".into(),
+            )
+        })?;
         let value = counter.increment()?;
         self.last_value.store(value, Ordering::Release);
         self.increments.fetch_add(1, Ordering::Relaxed);
@@ -376,6 +388,8 @@ impl BatchedCounter {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
     use palaemon_crypto::aead::AeadKey;
 
@@ -513,6 +527,76 @@ mod tests {
         assert!(batched.commit().is_err());
         // The failure is not sticky: the next commit increments afresh.
         assert_eq!(batched.commit().unwrap(), 3);
+    }
+
+    /// Panics on its second increment (and would count on, were it asked).
+    struct PanicsOnSecond(u64);
+    impl MonotonicCounter for PanicsOnSecond {
+        fn increment(&mut self) -> crate::error::Result<u64> {
+            self.0 += 1;
+            assert_ne!(self.0, 2, "counter backend panics mid-increment");
+            Ok(self.0)
+        }
+    }
+
+    #[test]
+    fn a_panicked_increment_fails_every_later_cover_closed() {
+        let batched = BatchedCounter::new(PanicsOnSecond(0));
+        assert_eq!(batched.cover(2).unwrap(), 1);
+        let unwound = catch_unwind(AssertUnwindSafe(|| batched.cover(1)));
+        assert!(unwound.is_err(), "the backend's own panic is not hidden");
+        // Poisoned: refused, not panicked, and the backend never runs again.
+        for _ in 0..2 {
+            assert!(matches!(
+                batched.cover(1),
+                Err(PalaemonError::StrictModeViolation(_))
+            ));
+        }
+        let stats = batched.stats();
+        assert_eq!((stats.ops_committed, stats.increments), (2, 1));
+        assert_eq!(batched.value(), 1);
+    }
+
+    /// The same poison reached through a strict server: the mutation whose
+    /// window leader panicked in the cover unwinds its own caller, and every
+    /// later mutation is refused with the window's verdict — no panic.
+    #[test]
+    fn a_strict_server_refuses_mutations_after_its_counter_panicked() {
+        use crate::policy::Policy;
+        use crate::server::{TmsRequest, TmsServer};
+        use palaemon_crypto::sig::SigningKey;
+        use palaemon_crypto::Digest;
+        use palaemon_db::Db;
+
+        let db =
+            Db::create(Box::new(MemStore::new()), AeadKey::from_bytes([4; 32])).expect("create db");
+        let engine = Arc::new(Palaemon::new(
+            db,
+            SigningKey::from_seed(b"poison"),
+            Digest::ZERO,
+            5,
+        ));
+        let counter = Arc::new(BatchedCounter::new(PanicsOnSecond(0)));
+        let server = TmsServer::with_commit_counter(engine, Arc::clone(&counter));
+        let create = |name: &str| TmsRequest::CreatePolicy {
+            owner: SigningKey::from_seed(b"owner").verifying_key(),
+            policy: Box::new(Policy::parse(&format!("name: {name}\n")).unwrap()),
+            approval: None,
+            votes: Vec::new(),
+        };
+        server
+            .handle(create("first"))
+            .expect("covered by increment 1");
+        let unwound = catch_unwind(AssertUnwindSafe(|| server.handle(create("second"))));
+        assert!(unwound.is_err(), "the leader's own caller sees the panic");
+        for name in ["third", "fourth"] {
+            let refused = server.handle(create(name));
+            assert!(
+                matches!(&refused, Err(PalaemonError::Db(why)) if why.contains("rollback counter")),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(counter.stats().ops_committed, 1);
     }
 
     #[test]

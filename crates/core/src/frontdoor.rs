@@ -17,11 +17,37 @@
 //! unboundedly ([`FrontDoor::try_submit`] refuses instead of blocking, for
 //! callers that shed load).
 //!
+//! ## Snapshot reads are answered where they arrive
+//! A request for which [`TmsRequest::is_snapshot_read`] holds — `ReadTag`,
+//! and `ReadPolicy` without an approval round — never enters the queue. It
+//! is answered on the submitting thread, inside [`FrontDoor::submit`],
+//! [`FrontDoor::try_submit`] or [`FrontDoor::submit_with`]: the same
+//! [`Door::call`], then the same ticket or callback, counted and traced as a
+//! pool job is (its queue wait is ≈ 0), and a panic in it costs that request
+//! alone, as on a pool thread. The backend answers it from one snapshot in
+//! about a microsecond; handing it to a pool thread costs ten times that,
+//! and queueing it behind busy seats a hundred.
+//!
+//! * **Everything else queues.** `workers`, the queue bound and
+//!   backpressure (the next section) apply to every other request. A
+//!   snapshot read takes no seat and no queue slot, and `try_submit` never
+//!   refuses one.
+//! * **Attestations and closes stay on the pool,** although they are short
+//!   too: a replicated backend mirrors the new or closed session to its
+//!   followers under the group's forward lock, which a heal holds for tens
+//!   of milliseconds. On the submitter's thread that stall would stop an
+//!   event loop that submits from its own thread; on the pool it holds one
+//!   seat.
+//! * **No order is promised between requests in flight at once,** and none
+//!   ever was: two queued requests already ran on two threads. A read
+//!   submitted while a write is in flight may or may not see it; a client
+//!   that must read its own write waits for the write's ticket first.
+//!
 //! ## What `workers` means
 //! `workers` is the number of requests the pool **runs** at once, not its
 //! thread count. The rule, in one line: *a pool thread takes a job only
 //! while fewer than `workers` threads are inside [`Door::call`] and not in a
-//! declared wait*.
+//! declared wait*. Snapshot reads (above) are not jobs: they take no seat.
 //!
 //! * **A declared wait.** A thread about to sleep on something slow — a
 //!   device sync, a follower's receipt — wraps the sleep in
@@ -75,9 +101,11 @@
 //! A [`Door::call`] or callback that panics is caught on the worker: the
 //! thread gives its seat back and serves the next job, and [`parked`]
 //! restores the count through a scope guard, so neither a seat nor a thread
-//! is lost. The panicked request itself is *not* resolved — its ticket is
-//! never completed, its callback never run, it is not counted in
-//! `completed` — because the door has no `D::Error` to resolve it with.
+//! is lost. A snapshot read's panic is caught on the submitting thread, and
+//! the submit returns as usual. The panicked request itself is *not*
+//! resolved — its ticket is never completed, its callback never run, it is
+//! not counted in `completed` — because the door has no `D::Error` to
+//! resolve it with.
 //!
 //! ## Backends and tracing
 //! The door is generic over the [`Door`] backend it fronts: a single
@@ -149,6 +177,11 @@ fn wait<'a, T>(condvar: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T>
 
 /// A synchronous request backend a [`FrontDoor`] pool can drain into:
 /// one engine ([`TmsServer`]) or a sharded cluster router.
+///
+/// A backend answers a snapshot read ([`TmsRequest::is_snapshot_read`])
+/// without sleeping: the door runs those on the submitting thread, which
+/// may be a client's event loop. [`TmsServer`] reads one database snapshot;
+/// `palaemon-cluster`'s `ClusterDoor` adds a freshness-checked replica pick.
 pub trait Door: Clone + Send + 'static {
     /// The backend's error type (reaches the ticket unchanged).
     type Error: Send + 'static;
@@ -307,7 +340,8 @@ impl Collect for FrontDoorStats {
 /// accepted request still completes) and joins the workers.
 pub struct FrontDoor<D: Door = TmsServer> {
     shared: Arc<DoorShared<D::Error>>,
-    /// Cloned into each thread a submission has to spawn.
+    /// Answers snapshot reads on the submitting thread; cloned into each
+    /// thread a submission has to spawn.
     door: D,
 }
 
@@ -418,18 +452,37 @@ impl<D: Door> FrontDoor<D> {
         offer(&self.shared, &self.door, q);
     }
 
+    /// Takes a request in for the blocking submit forms. A snapshot read is
+    /// answered on the calling thread — counted, traced and contained
+    /// exactly like a job a pool thread runs (see the module docs);
+    /// anything else waits for queue space and is queued.
+    fn accept(&self, request: TmsRequest, sink: Sink<D::Error>) {
+        if !request.is_snapshot_read() {
+            self.enqueue(self.wait_for_space(), request, sink);
+            return;
+        }
+        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        let job = Job {
+            request,
+            sink,
+            trace: self.mint_trace(),
+        };
+        run_caught(&self.shared, &self.door, job);
+    }
+
     /// Submits a request, blocking while the queue is at capacity
     /// (backpressure), and returns the completion [`Ticket`] the caller
-    /// parks on — or polls, or drops (the request still runs).
+    /// parks on — or polls, or drops (the request still runs). A snapshot
+    /// read is answered before this returns.
     pub fn submit(&self, request: TmsRequest) -> Ticket<D::Error> {
         let ticket = Ticket::new();
-        let sink = Sink::Ticket(Arc::clone(&ticket.state));
-        self.enqueue(self.wait_for_space(), request, sink);
+        self.accept(request, Sink::Ticket(Arc::clone(&ticket.state)));
         ticket
     }
 
     /// Submits without blocking: at saturation the request is handed
-    /// back (`Err`) so the caller can shed load instead of piling on.
+    /// back (`Err`) so the caller can shed load instead of piling on. A
+    /// snapshot read is never refused; it is answered before this returns.
     // The large Err variant is the point: the rejected request returns
     // to the caller by value so it can be retried or shed unboxed.
     #[allow(clippy::result_large_err)]
@@ -437,6 +490,9 @@ impl<D: Door> FrontDoor<D> {
         &self,
         request: TmsRequest,
     ) -> std::result::Result<Ticket<D::Error>, TmsRequest> {
+        if request.is_snapshot_read() {
+            return Ok(self.submit(request));
+        }
         let q = lock(&self.shared.queue);
         if q.jobs.len() >= self.shared.capacity {
             drop(q);
@@ -454,15 +510,15 @@ impl<D: Door> FrontDoor<D> {
 
     /// Submits with a completion callback instead of a ticket — the
     /// event-loop form. The callback runs on the thread that ran the
-    /// backend call, right after it; keep it short. Blocks at capacity
+    /// backend call, right after it; keep it short. For a snapshot read
+    /// that is the calling thread, before this returns. Blocks at capacity
     /// like [`FrontDoor::submit`].
     pub fn submit_with(
         &self,
         request: TmsRequest,
         callback: impl FnOnce(std::result::Result<TmsResponse, D::Error>) + Send + 'static,
     ) {
-        let sink = Sink::Callback(Box::new(callback));
-        self.enqueue(self.wait_for_space(), request, sink);
+        self.accept(request, Sink::Callback(Box::new(callback)));
     }
 
     /// Current counters.
@@ -657,45 +713,50 @@ impl<D: Door> Worker<D> {
             seated = true;
             offer(shared, &worker.door, q);
             shared.space.notify_one();
-            // A panic below the door costs its own request (see the module
-            // docs) and nothing else: `seated` gives the seat back above,
-            // `parked` has restored the count on its way out.
-            if catch_unwind(AssertUnwindSafe(|| worker.run(job))).is_err() {
-                trace::take();
-            }
+            // `seated` gives the seat back above even if this unwinds.
+            run_caught(shared, &worker.door, job);
         }
     }
+}
 
-    /// Runs one request: backend call, then ticket or callback.
-    fn run(&self, job: Job<D::Error>) {
-        // With a trace attached: book the queue wait, install the context
-        // so deeper layers (engine apply, counter commit, replication)
-        // record their stages, and fold the finished trace into the plane.
-        let tracing = match (&self.shared.telemetry, job.trace) {
-            (Some(telemetry), Some((id, enqueued))) => {
-                let mut ctx = TraceCtx::new(id);
-                ctx.add(Stage::QueueWait, enqueued.elapsed().as_nanos() as u64);
-                trace::install(ctx);
-                Some(telemetry)
-            }
-            _ => None,
-        };
-        let result = self.door.call(job.request);
-        if let Some(telemetry) = tracing {
-            if let Some(ctx) = trace::take() {
-                telemetry.finish_trace(ctx);
-            }
+/// Runs one request — backend call, then ticket or callback — on the
+/// current thread: a pool thread, or a snapshot read's submitter. A panic
+/// below the door costs its own request (see the module docs) and nothing
+/// else; [`parked`] has restored the seat count on its way out.
+fn run_caught<D: Door>(shared: &DoorShared<D::Error>, door: &D, job: Job<D::Error>) {
+    if catch_unwind(AssertUnwindSafe(|| run(shared, door, job))).is_err() {
+        trace::take();
+    }
+}
+
+fn run<D: Door>(shared: &DoorShared<D::Error>, door: &D, job: Job<D::Error>) {
+    // With a trace attached: book the queue wait, install the context so
+    // deeper layers (engine apply, counter commit, replication) record
+    // their stages, and fold the finished trace into the plane.
+    let tracing = match (&shared.telemetry, job.trace) {
+        (Some(telemetry), Some((id, enqueued))) => {
+            let mut ctx = TraceCtx::new(id);
+            ctx.add(Stage::QueueWait, enqueued.elapsed().as_nanos() as u64);
+            trace::install(ctx);
+            Some(telemetry)
         }
-        // Count before resolving the sink: a client whose ticket just
-        // resolved must see its own request in `completed`.
-        self.shared.completed.fetch_add(1, Ordering::Relaxed);
-        match job.sink {
-            Sink::Ticket(state) => {
-                *lock(&state.slot) = Some(result);
-                state.done.notify_all();
-            }
-            Sink::Callback(callback) => callback(result),
+        _ => None,
+    };
+    let result = door.call(job.request);
+    if let Some(telemetry) = tracing {
+        if let Some(ctx) = trace::take() {
+            telemetry.finish_trace(ctx);
         }
+    }
+    // Count before resolving the sink: a client whose ticket just resolved
+    // must see its own request in `completed`.
+    shared.completed.fetch_add(1, Ordering::Relaxed);
+    match job.sink {
+        Sink::Ticket(state) => {
+            *lock(&state.slot) = Some(result);
+            state.done.notify_all();
+        }
+        Sink::Callback(callback) => callback(result),
     }
 }
 
@@ -706,6 +767,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::board::{ApprovalRequest, PolicyAction};
     use crate::error::PalaemonError;
     use crate::policy::Policy;
     use crate::server::FaultHook;
@@ -1035,7 +1097,9 @@ mod tests {
     /// whose session id is the request's marker) reports in and sleeps on a
     /// gate the test opens — declared as `expected` long, or, with `None`,
     /// not declared at all. Two markers panic instead: [`Waiting::PANIC`]
-    /// before the wait, [`Waiting::PANIC_ASLEEP`] inside it.
+    /// before the wait, [`Waiting::PANIC_ASLEEP`] inside it. A `ReadTag`
+    /// ([`Waiting::read`]) reports in and is answered at once, as a snapshot
+    /// read is; with the `PANIC` marker it panics.
     #[derive(Clone)]
     struct Waiting {
         expected: Option<Duration>,
@@ -1065,6 +1129,13 @@ mod tests {
         fn request(marker: u64) -> TmsRequest {
             TmsRequest::CloseSession {
                 session: SessionId(marker),
+            }
+        }
+
+        fn read(marker: u64) -> TmsRequest {
+            TmsRequest::ReadTag {
+                session: SessionId(marker),
+                volume: "data".into(),
             }
         }
 
@@ -1101,12 +1172,16 @@ mod tests {
         type Error = ();
 
         fn call(&self, request: TmsRequest) -> std::result::Result<TmsResponse, ()> {
-            let TmsRequest::CloseSession { session } = request else {
-                panic!("the waiting backend only takes markers");
+            let (marker, read) = match request {
+                TmsRequest::CloseSession { session } => (session.0, false),
+                TmsRequest::ReadTag { session, .. } => (session.0, true),
+                _ => panic!("the waiting backend only takes markers"),
             };
-            let marker = session.0;
             lock(&self.state.calls).push((marker, std::thread::current().id()));
             assert_ne!(marker, Self::PANIC, "asked to panic");
+            if read {
+                return Ok(TmsResponse::Tag(None));
+            }
             let sleep = || {
                 assert_ne!(marker, Self::PANIC_ASLEEP, "asked to panic asleep");
                 let mut gate = lock(&self.state.gate);
@@ -1296,5 +1371,160 @@ mod tests {
             assert_eq!(drained.completed, 2 * WORKERS as u64);
             assert_eq!(drained.submitted, drained.completed + 1);
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Snapshot reads are answered where they arrive
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn a_snapshot_read_is_answered_on_its_submitter_past_a_full_pool() {
+        const WORKERS: usize = 2;
+        const CAPACITY: usize = 2;
+        // Undeclared waits: every seat stays taken and nothing is spawned.
+        let backend = Waiting::new(None);
+        let door = FrontDoor::with_capacity(backend.clone(), WORKERS, CAPACITY);
+        let mut held: Vec<_> = (0..WORKERS as u64)
+            .map(|m| door.submit(Waiting::request(m)))
+            .collect();
+        backend.reached_gate(WORKERS);
+        held.extend((0..CAPACITY as u64).map(|m| door.submit(Waiting::request(10 + m))));
+        assert_eq!(door.stats().queue_depth, CAPACITY);
+        assert!(door.try_submit(Waiting::request(99)).is_err(), "queue full");
+
+        // Every seat asleep, every slot taken: each form answers a read
+        // before it returns, on this thread.
+        let here = std::thread::current().id();
+        let ticket = door.submit(Waiting::read(100));
+        assert!(matches!(
+            ticket.try_take(),
+            Some(Ok(TmsResponse::Tag(None)))
+        ));
+        let answered = Arc::new(Mutex::new(None));
+        let callback = {
+            let answered = Arc::clone(&answered);
+            move |result: std::result::Result<TmsResponse, ()>| {
+                *lock(&answered) = Some((result.is_ok(), std::thread::current().id()));
+            }
+        };
+        door.submit_with(Waiting::read(101), callback);
+        assert_eq!(*lock(&answered), Some((true, here)));
+        let tried = door.try_submit(Waiting::read(102));
+        assert!(tried.expect("a snapshot read is never refused").is_done());
+        let reads: Vec<_> = backend.calls().into_iter().filter(|c| c.0 >= 100).collect();
+        assert_eq!(reads, [(100, here), (101, here), (102, here)]);
+        // No slot, no seat, no thread: the pool is as the reads found it.
+        let stats = door.stats();
+        assert_eq!((stats.queue_depth, stats.queue_peak), (CAPACITY, CAPACITY));
+        assert_eq!((stats.completed, stats.rejected), (3, 1));
+        assert_eq!(threads(&door), WORKERS);
+
+        backend.open_and_finish(held);
+        let drained = door.drain();
+        assert_eq!(drained.submitted, (WORKERS + CAPACITY + 1 + 3) as u64);
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
+    }
+
+    #[test]
+    fn only_snapshot_reads_skip_the_queue() {
+        let (server, platform) = fixture("queued");
+        let TmsResponse::Config(config) =
+            server.handle(attest_request(&platform, "queued")).unwrap()
+        else {
+            panic!("attestation answers with a config");
+        };
+        let session = config.session;
+        // The one seat sleeps in a `SessionCount` until the test opens the
+        // gate: `(reached, open)`.
+        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
+        let hook: FaultHook = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |request| {
+                if matches!(request, TmsRequest::SessionCount) {
+                    let (state, changed) = &*gate;
+                    let mut state = lock(state);
+                    state.0 = true;
+                    changed.notify_all();
+                    while !state.1 {
+                        state = wait(changed, state);
+                    }
+                }
+                Ok(())
+            })
+        };
+        let door = FrontDoor::with_capacity(server.with_fault_hook(hook), 1, 16);
+        let holder = door.submit(TmsRequest::SessionCount);
+        drop(gate.1.wait_while(lock(&gate.0), |state| !state.0).unwrap());
+
+        let owner = SigningKey::from_seed(b"door-owner").verifying_key();
+        let read_policy = |approval| TmsRequest::ReadPolicy {
+            name: "queued".into(),
+            client: owner,
+            approval,
+            votes: Vec::new(),
+        };
+        let round = ApprovalRequest {
+            policy_name: "queued".into(),
+            action: PolicyAction::Read,
+            policy_digest: Digest::ZERO,
+            nonce: 7,
+        };
+        let queued = [
+            attest_request(&platform, "queued"),
+            TmsRequest::CloseSession { session },
+            read_policy(Some(round)),
+            TmsRequest::PolicyCount,
+        ]
+        .map(|request| door.submit(request));
+        assert_eq!(door.stats().queue_depth, queued.len());
+        assert!(queued.iter().all(|ticket| !ticket.is_done()));
+        // Behind them, with the seat still asleep, the two snapshot reads.
+        let tag = door.submit(TmsRequest::ReadTag {
+            session,
+            volume: "data".into(),
+        });
+        assert!(matches!(tag.try_take(), Some(Ok(TmsResponse::Tag(None)))));
+        let policy = door.submit(read_policy(None));
+        assert!(matches!(
+            policy.try_take(),
+            Some(Ok(TmsResponse::Policy(_)))
+        ));
+        assert_eq!(door.stats().queue_peak, queued.len());
+
+        lock(&gate.0).1 = true;
+        gate.1.notify_all();
+        assert!(matches!(holder.wait(), Ok(TmsResponse::Count(1))));
+        for ticket in queued {
+            ticket.wait().expect("queued request");
+        }
+        let drained = door.drain();
+        assert_eq!(drained.submitted, 7);
+        assert_eq!(drained.submitted, drained.completed + drained.rejected);
+    }
+
+    #[test]
+    fn a_panicking_snapshot_read_costs_only_itself() {
+        let backend = Waiting::new(None);
+        backend.open();
+        let door = FrontDoor::with_capacity(backend.clone(), 1, 16);
+        // Through each form: the submit returns, the request is lost.
+        let lost = door.submit(Waiting::read(Waiting::PANIC));
+        let called = Arc::new(AtomicUsize::new(0));
+        let callback = {
+            let called = Arc::clone(&called);
+            move |_: std::result::Result<TmsResponse, ()>| {
+                called.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        door.submit_with(Waiting::read(Waiting::PANIC), callback);
+        let tried = door.try_submit(Waiting::read(Waiting::PANIC)).unwrap();
+        // The submitter, the pool and the counts carry on.
+        assert!(door.submit(Waiting::read(1)).is_done());
+        backend.open_and_finish([door.submit(Waiting::request(2))]);
+        let drained = door.drain();
+        assert!(!lost.is_done() && !tried.is_done());
+        assert_eq!(called.load(Ordering::Relaxed), 0);
+        assert_eq!(drained.completed, 2);
+        assert_eq!(drained.submitted, drained.completed + 3);
     }
 }

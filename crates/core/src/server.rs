@@ -186,6 +186,19 @@ impl TmsRequest {
         )
     }
 
+    /// True when any fresh replica answers the request from one database
+    /// snapshot, consuming, mirroring and waiting on nothing: a tag read,
+    /// and a policy read that carries no approval round (an approval's
+    /// single-use nonce is consumed, so that read is served like a write).
+    /// The front door runs these on the submitting thread; a replicated
+    /// router may serve them from a follower.
+    pub fn is_snapshot_read(&self) -> bool {
+        matches!(
+            self,
+            TmsRequest::ReadTag { .. } | TmsRequest::ReadPolicy { approval: None, .. }
+        )
+    }
+
     /// The policy name this request is keyed by, when it targets exactly
     /// one policy. This is what a sharded deployment (`palaemon-cluster`)
     /// hashes to pick the owning instance; `None` means the request is
@@ -682,6 +695,63 @@ mod tests {
             volume: "v".into(),
         };
         assert_eq!(reset.policy_key(), Some("p2"));
+    }
+
+    #[test]
+    fn snapshot_reads_are_the_approval_free_reads() {
+        let (_, platform, mre, owner) = server(false);
+        let read_policy = |approval| TmsRequest::ReadPolicy {
+            name: "srv".into(),
+            client: owner,
+            approval,
+            votes: Vec::new(),
+        };
+        let round = ApprovalRequest {
+            policy_name: "srv".into(),
+            action: crate::board::PolicyAction::Read,
+            policy_digest: Digest::ZERO,
+            nonce: 1,
+        };
+        let binding = [0u8; 64];
+        let quote = quote_report(&platform, &create_report(&platform, mre, binding)).unwrap();
+        let session = SessionId(1);
+        let snapshot = [
+            TmsRequest::ReadTag {
+                session,
+                volume: "data".into(),
+            },
+            read_policy(None),
+        ];
+        let not = [
+            read_policy(Some(round)),
+            TmsRequest::AttestService {
+                quote: Box::new(quote),
+                tls_key_binding: binding,
+                policy_name: "srv".into(),
+                service_name: "app".into(),
+            },
+            TmsRequest::CloseSession { session },
+            TmsRequest::BeginApproval {
+                policy_name: "srv".into(),
+                action: crate::board::PolicyAction::Read,
+                policy_digest: Digest::ZERO,
+            },
+            TmsRequest::PushTag {
+                session,
+                volume: "data".into(),
+                tag: Digest::ZERO,
+                event: TagEvent::Sync,
+            },
+            TmsRequest::ResetTag {
+                policy: "srv".into(),
+                volume: "data".into(),
+            },
+            TmsRequest::SessionCount,
+            TmsRequest::PolicyCount,
+        ];
+        assert!(snapshot.iter().all(TmsRequest::is_snapshot_read));
+        assert!(!snapshot.iter().any(TmsRequest::is_mutation));
+        assert!(!not.iter().any(TmsRequest::is_snapshot_read));
     }
 
     #[test]
